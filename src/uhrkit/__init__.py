@@ -33,7 +33,7 @@ from .graph import (
     infer_shapes,
     stage_level_sets,
 )
-from .ops import OpTape, Tensor, backward
+from .ops import Tensor
 from .runtime import (
     GradCheckReport,
     WeightStore,

@@ -19,6 +19,7 @@ from .graph import (
     InvalidSequence,
     NetworkConfig,
     UnknownPreset,
+    WidthOverflow,
     build_uhrnet,
     export_graph,
     infer_shapes,
@@ -40,6 +41,12 @@ def _parse_shape(text: str) -> tuple[int, int, int, int]:
     return tuple(int(p) for p in parts)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_convention(text: str) -> analysis.CostConvention | None:
     """``auto`` or a comma list like ``mac=1,bn=off,relu=off,up=off,head=on,cls=19,unit=gi``."""
     if text == "auto":
@@ -49,20 +56,23 @@ def _parse_convention(text: str) -> analysis.CostConvention | None:
     for item in text.split(","):
         key, _, val = item.partition("=")
         key, val = key.strip(), val.strip().lower()
-        if key == "mac":
-            kw["mac_factor"] = int(val)
-        elif key in ("bn", "relu"):
-            kw[f"include_{key}"] = flags[val]
-        elif key in ("up", "upsample"):
-            kw["include_upsample"] = flags[val]
-        elif key == "head":
-            kw["include_head"] = flags[val]
-        elif key in ("cls", "classifier"):
-            kw["classifier_classes"] = int(val)
-        elif key == "unit":
-            kw["unit_divisor"] = 2**30 if val in ("gi", "2^30") else 10**9
-        else:
-            raise argparse.ArgumentTypeError(f"unknown convention field {key!r}")
+        try:
+            if key == "mac":
+                kw["mac_factor"] = int(val)
+            elif key in ("bn", "relu"):
+                kw[f"include_{key}"] = flags[val]
+            elif key in ("up", "upsample"):
+                kw["include_upsample"] = flags[val]
+            elif key == "head":
+                kw["include_head"] = flags[val]
+            elif key in ("cls", "classifier"):
+                kw["classifier_classes"] = int(val)
+            elif key == "unit":
+                kw["unit_divisor"] = 2**30 if val in ("gi", "2^30") else 10**9
+            else:
+                raise argparse.ArgumentTypeError(f"unknown convention field {key!r}")
+        except (KeyError, ValueError):
+            raise argparse.ArgumentTypeError(f"convention field {key!r} does not take {val!r}") from None
     return analysis.CostConvention(**kw)
 
 
@@ -248,8 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sp.add_mutually_exclusive_group(required=True)
     g.add_argument("--preset", choices=presets.names())
     g.add_argument("--structure")
-    sp.add_argument("--width", type=int, default=18, help="base width C for --structure")
-    sp.add_argument("--blocks", type=int, default=2, help="blocks per branch for --structure")
+    sp.add_argument("--width", type=_positive_int, default=18, help="base width C for --structure")
+    sp.add_argument("--blocks", type=_positive_int, default=2, help="blocks per branch for --structure")
     sp.add_argument("--fusion", choices=("a", "b"), default="b")
     sp.add_argument("--input", type=_parse_shape, default=presets.COST_INPUT_SHAPE)
     sp.add_argument("--convention", type=_parse_convention, default=None, help="'auto' (default) or field list")
@@ -310,7 +320,7 @@ def main(argv=None) -> int:
         if exc.position is not None and hasattr(args, "code"):
             sys.stderr.write(f"  {args.code}\n  {' ' * exc.position}^\n")
         return EXIT_USAGE
-    except (UnknownPreset, InvalidSequence, runtime.InvalidCheckSettings) as exc:
+    except (UnknownPreset, InvalidSequence, WidthOverflow, runtime.InvalidCheckSettings) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (IndivisibleInput, ShapeMismatch, OddChannelCount) as exc:
@@ -318,6 +328,9 @@ def main(argv=None) -> int:
         return EXIT_SHAPE
     except (FormatError, ChecksumMismatch, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_IO
+    except runtime.WeightMissing as exc:
+        sys.stderr.write(f"error: the weight file has no tensor {exc}\n")
         return EXIT_IO
 
 

@@ -2,11 +2,13 @@
 
 Everything runs on plain numpy arrays, float32 by default with float64
 available for verification work.  Each primitive comes as a forward
-function plus an explicit VJP, and the thin :class:`Tensor`/:class:`OpTape`
-layer on top records applications so :func:`backward` can replay them in
-reverse.  The graph executor in :mod:`uhrkit.runtime` reuses the same
-forward/VJP pairs, so there is exactly one implementation of every
-derivative.
+function plus an explicit VJP.  The graph executor and the reverse sweep
+in :mod:`uhrkit.runtime` call these pairs, so there is exactly one
+implementation of every derivative.
+
+The module also holds the one binary codec for a tensor entry,
+``{u8 dtype, u8 rank, u64 dims[rank], little-endian payload}``, used by
+tensor files here and by weight files in :mod:`uhrkit.runtime`.
 
 Conventions:
 
@@ -20,6 +22,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -32,10 +35,6 @@ class ShapeMismatch(ValueError):
 
 
 class OddChannelCount(ValueError):
-    pass
-
-
-class TapeMismatch(ValueError):
     pass
 
 
@@ -318,15 +317,14 @@ def add_fwd(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tensors and the op tape
+# tensor values and the binary tensor codec
 
 
 @dataclass
 class Tensor:
-    """Dense array value with an optional gradient buffer of the same shape."""
+    """A dense array value, as the tensor-file reader returns it."""
 
     data: np.ndarray
-    grad: np.ndarray | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data)
@@ -339,191 +337,75 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if g.shape != self.data.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} != value shape {self.data.shape}")
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad = self.grad + g
+
+# One entry is {u8 dtype, u8 rank, u64 dims[rank], little-endian payload}.
+# Tensor files hold one after their header; weight files one per named
+# parameter.
+_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
-class OpTape:
-    """Record of primitive applications enabling a reverse-mode sweep.
-
-    Each entry holds the op's output tensor and a VJP callback that routes
-    the output gradient to the inputs.  Entries are appended in execution
-    order, so iterating in reverse visits ops in reverse topological order.
-    """
-
-    def __init__(self):
-        self._entries: list[tuple[Tensor, object]] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def record(self, out: Tensor, vjp) -> None:
-        self._entries.append((out, vjp))
+def _encode_entry(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The entry header and the payload as a contiguous little-endian array,
+    which writes out as its bytes without a ``tobytes`` copy."""
+    code = _DTYPE_CODES.get(arr.dtype)
+    if code is None:
+        raise ValueError(f"unsupported dtype {arr.dtype}; use float32 or float64")
+    head = struct.pack(f"<BB{arr.ndim}Q", code, arr.ndim, *arr.shape)
+    return head, np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
 
 
-def backward(tape: OpTape, out_grad: np.ndarray | Tensor) -> None:
-    """Reverse sweep: accumulate gradients of the tape's final output into
-    every recorded input's ``.grad``."""
-    if isinstance(out_grad, Tensor):
-        out_grad = out_grad.data
-    out_grad = np.asarray(out_grad)
-    if not tape._entries:
-        raise TapeMismatch("tape is empty")
-    final = tape._entries[-1][0]
-    if out_grad.shape != final.data.shape:
-        raise TapeMismatch(
-            f"output gradient shape {out_grad.shape} != recorded output shape {final.data.shape}"
-        )
-    final.accumulate_grad(out_grad)
-    for out, vjp in reversed(tape._entries):
-        if out.grad is None:
-            continue
-        vjp(out.grad)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-
-
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | None = None, tape: OpTape | None = None) -> Tensor:
-    x, w = _as_tensor(x), _as_tensor(w)
-    out = Tensor(conv2d_fwd(x.data, w.data, stride, pad))
-    if tape is not None:
-        def vjp(dy, x=x, w=w):
-            dx, dw = conv2d_vjp(x.data, w.data, stride, pad, dy)
-            x.accumulate_grad(dx)
-            w.accumulate_grad(dw)
-        tape.record(out, vjp)
-    return out
-
-
-def batchnorm_infer(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    mean: Tensor,
-    var: Tensor,
-    eps: float = 1e-5,
-    tape: OpTape | None = None,
-) -> Tensor:
-    x, gamma, beta, mean, var = map(_as_tensor, (x, gamma, beta, mean, var))
-    out = Tensor(batchnorm_fwd(x.data, gamma.data, beta.data, mean.data, var.data, eps))
-    if tape is not None:
-        def vjp(dy):
-            dx, dg, db, dm, dv = batchnorm_vjp(
-                x.data, gamma.data, beta.data, mean.data, var.data, eps, dy
-            )
-            x.accumulate_grad(dx)
-            gamma.accumulate_grad(dg)
-            beta.accumulate_grad(db)
-            mean.accumulate_grad(dm)
-            var.accumulate_grad(dv)
-        tape.record(out, vjp)
-    return out
-
-
-def relu(x: Tensor, tape: OpTape | None = None) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(relu_fwd(x.data))
-    if tape is not None:
-        tape.record(out, lambda dy: x.accumulate_grad(relu_vjp(x.data, dy)))
-    return out
-
-
-def bilinear_upsample(x: Tensor, factor: int = 2, tape: OpTape | None = None) -> Tensor:
-    if factor != 2:
-        raise ValueError("factor is fixed at 2; chain calls for larger factors")
-    x = _as_tensor(x)
-    out = Tensor(bilinear_up2_fwd(x.data))
-    if tape is not None:
-        tape.record(out, lambda dy: x.accumulate_grad(bilinear_up2_vjp(x.data, dy)))
-    return out
-
-
-def channel_avg_pool2(x: Tensor, tape: OpTape | None = None) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(channel_pool2_fwd(x.data, "avg"))
-    if tape is not None:
-        tape.record(out, lambda dy: x.accumulate_grad(channel_pool2_vjp(x.data, dy, "avg")))
-    return out
-
-
-def concat_channels(xs: list[Tensor], tape: OpTape | None = None) -> Tensor:
-    xs = [_as_tensor(x) for x in xs]
-    out = Tensor(concat_fwd([x.data for x in xs]))
-    if tape is not None:
-        def vjp(dy):
-            for x, dx in zip(xs, concat_vjp([x.data for x in xs], dy)):
-                x.accumulate_grad(dx)
-        tape.record(out, vjp)
-    return out
-
-
-def add(x: Tensor, y: Tensor, tape: OpTape | None = None) -> Tensor:
-    x, y = _as_tensor(x), _as_tensor(y)
-    out = Tensor(add_fwd(x.data, y.data))
-    if tape is not None:
-        def vjp(dy):
-            x.accumulate_grad(dy)
-            y.accumulate_grad(dy)
-        tape.record(out, vjp)
-    return out
+def _decode_entry(raw: bytes, off: int, stop: int) -> tuple[np.ndarray, int]:
+    """Decode the entry at ``raw[off:stop]``; returns the array (a native
+    byte-order copy) and the offset just past its payload.  Errors carry
+    the offset into ``raw`` where decoding failed."""
+    if stop < off + 2:
+        raise FormatError("truncated entry header", off)
+    code, rank = struct.unpack_from("<BB", raw, off)
+    dtype = _DTYPES.get(code)
+    if dtype is None:
+        raise FormatError(f"unknown dtype code {code}", off)
+    if rank > 8:
+        raise FormatError(f"implausible rank {rank}", off + 1)
+    off += 2
+    if stop < off + 8 * rank:
+        raise FormatError("truncated dimension list", stop)
+    dims = struct.unpack_from(f"<{rank}Q", raw, off)
+    off += 8 * rank
+    count = math.prod(dims)
+    end = off + count * dtype.itemsize
+    if end > stop:
+        raise FormatError(f"payload size {stop - off} is too small for shape {dims}", off)
+    data = np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(dims)
+    return data.astype(dtype.newbyteorder("=")), end
 
 
 # ---------------------------------------------------------------------------
-# raw tensor file format: magic "HRTF", u32 version, u8 dtype, u8 rank,
-# u64 dims[rank], little-endian payload
+# tensor files: magic "HRTF", u32 version, one entry
 
 TENSOR_MAGIC = b"HRTF"
 TENSOR_VERSION = 1
-_DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_DTYPE_BYTES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
 def write_tensor(path, t: Tensor | np.ndarray) -> None:
     data = t.data if isinstance(t, Tensor) else np.asarray(t)
-    if data.dtype not in _DTYPE_BYTES:
-        raise ValueError(f"unsupported dtype {data.dtype}; use float32 or float64")
+    head, payload = _encode_entry(data)
     with open(path, "wb") as f:
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<I", TENSOR_VERSION))
-        f.write(struct.pack("<BB", _DTYPE_BYTES[data.dtype], data.ndim))
-        f.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-        f.write(np.ascontiguousarray(data, dtype=data.dtype.newbyteorder("<")).tobytes())
+        f.write(TENSOR_MAGIC + struct.pack("<I", TENSOR_VERSION) + head)
+        f.write(payload)
 
 
 def read_tensor(path) -> Tensor:
     with open(path, "rb") as f:
         raw = f.read()
-    if len(raw) < 10:
+    if len(raw) < 8:
         raise FormatError("file too short for a tensor header", len(raw))
     if raw[:4] != TENSOR_MAGIC:
         raise FormatError(f"bad magic {raw[:4]!r}", 0)
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != TENSOR_VERSION:
         raise FormatError(f"unsupported version {version}", 4)
-    dtype_code, rank = struct.unpack_from("<BB", raw, 8)
-    if dtype_code not in _DTYPE_CODES:
-        raise FormatError(f"unknown dtype code {dtype_code}", 8)
-    if rank > 8:
-        raise FormatError(f"implausible rank {rank}", 9)
-    off = 10
-    if len(raw) < off + 8 * rank:
-        raise FormatError("truncated dimension list", len(raw))
-    dims = struct.unpack_from(f"<{rank}Q", raw, off)
-    off += 8 * rank
-    dtype = _DTYPE_CODES[dtype_code]
-    count = 1
-    for d in dims:
-        count *= d
-    if len(raw) != off + count * dtype.itemsize:
-        raise FormatError(
-            f"payload size {len(raw) - off} does not match shape {dims}", off
-        )
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(dims)
-    return Tensor(data.astype(dtype.newbyteorder("=")))
+    data, end = _decode_entry(raw, 8, len(raw))
+    if end != len(raw):
+        raise FormatError(f"{len(raw) - end} bytes after the payload of shape {data.shape}", end)
+    return Tensor(data)

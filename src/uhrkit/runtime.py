@@ -2,10 +2,15 @@
 
 Weight initialization draws from a counter-based 64-bit xorshift-multiply
 generator (splitmix-style), so a ``(graph, seed)`` pair maps to bit-identical
-parameters on every platform — no global RNG state is involved.  The
-executor walks a shaped :class:`~uhrkit.graph.LayerGraph` in topological
-order over plain numpy arrays, reusing the primitive implementations from
-:mod:`uhrkit.ops`, and the reverse sweep mirrors it with the matching VJPs.
+parameters on every platform — no global RNG state is involved.  Weight
+files store each parameter with the tensor entry codec of :mod:`uhrkit.ops`.
+
+One executor, :meth:`_Exec.walk`, runs both the forward pass and the
+gradient checker's replay: it walks a shaped
+:class:`~uhrkit.graph.LayerGraph` in topological order over plain numpy
+arrays, calling the primitives of :mod:`uhrkit.ops`.  The reverse sweep,
+:func:`run_backward`, is the only reverse-mode engine and mirrors the walk
+with the matching VJPs.
 
 Gradient verification compares the reverse-mode gradients against central
 differences ``(f(t+eps) - f(t-eps)) / (2 eps)`` of the scalar verification
@@ -176,27 +181,22 @@ def init_weights(graph: LayerGraph, seed: int = 0) -> WeightStore:
 
 # ---------------------------------------------------------------------------
 # weight persistence: magic "HRWS", u32 version, u64 seed, u32 entry count,
-# entries {u16 name_len, name, u8 dtype, u8 rank, u64 dims[], payload LE},
-# trailing u32 CRC32 over the entries region
-
-_DT_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_DT_FROM = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+# entries {u16 name_len, name, tensor entry (see ops)}, trailing u32 CRC32
+# over the entries region
 
 
 def save_weights(store: WeightStore, path) -> None:
     body = bytearray()
     for name, arr in store.arrays.items():
         nb = name.encode("utf-8")
-        body += struct.pack("<H", len(nb))
-        body += nb
-        body += struct.pack("<BB", _DT_CODE[arr.dtype], arr.ndim)
-        body += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-        body += np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
+        head, payload = ops._encode_entry(arr)
+        body += struct.pack("<H", len(nb)) + nb + head
+        body += payload.data
     with open(path, "wb") as f:
         f.write(WEIGHTS_MAGIC)
         f.write(struct.pack("<IQI", WEIGHTS_VERSION, store.seed, len(store.arrays)))
         f.write(body)
-        f.write(struct.pack("<I", zlib.crc32(bytes(body))))
+        f.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def load_weights(path) -> WeightStore:
@@ -209,31 +209,21 @@ def load_weights(path) -> WeightStore:
     version, seed, count = struct.unpack_from("<IQI", raw, 4)
     if version != WEIGHTS_VERSION:
         raise FormatError(f"unsupported version {version}", 4)
-    body = raw[20:-4]
-    (crc_stored,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if zlib.crc32(body) != crc_stored:
+    stop = len(raw) - 4
+    (crc_stored,) = struct.unpack_from("<I", raw, stop)
+    if zlib.crc32(memoryview(raw)[20:stop]) != crc_stored:
         raise ChecksumMismatch("weight payload does not match its checksum")
     arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    off = 0
+    off = 20
     for _ in range(count):
         try:
-            (name_len,) = struct.unpack_from("<H", body, off)
-            off += 2
-            name = body[off : off + name_len].decode("utf-8")
-            off += name_len
-            dt_code, rank = struct.unpack_from("<BB", body, off)
-            off += 2
-            dims = struct.unpack_from(f"<{rank}Q", body, off)
-            off += 8 * rank
-            dtype = _DT_FROM[dt_code]
-            n_items = int(np.prod(dims)) if dims else 1
-            arr = np.frombuffer(body, dtype=dtype, count=n_items, offset=off)
-            off += n_items * dtype.itemsize
-        except (struct.error, KeyError, ValueError) as exc:
-            raise FormatError(f"truncated or corrupt entry: {exc}", 20 + off) from exc
-        arrays[name] = arr.reshape(dims).astype(dtype.newbyteorder("="))
-    if off != len(body):
-        raise FormatError("trailing bytes after the last entry", 20 + off)
+            (name_len,) = struct.unpack_from("<H", raw, off)
+            name = raw[off + 2 : off + 2 + name_len].decode("utf-8")
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise FormatError(f"truncated or corrupt entry name: {exc}", off) from exc
+        arrays[name], off = ops._decode_entry(raw, off + 2 + name_len, stop)
+    if off != stop:
+        raise FormatError("trailing bytes after the last entry", off)
     return WeightStore(seed=seed, arrays=arrays)
 
 
@@ -258,7 +248,7 @@ class _Exec:
             self.params[name] = arr.astype(self.dtype, copy=False)
         self._bn_aff: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # conv -> its batchnorm when that is the conv's sole consumer; the
-        # replay path fuses the pair to halve elementwise traffic
+        # walk fuses the pair to halve elementwise traffic
         consumers: dict[str, list[Node]] = {}
         for node in graph.nodes:
             for src in node.inputs:
@@ -284,27 +274,116 @@ class _Exec:
             self._bn_aff[nid] = ac
         return ac
 
-    def eval_node(self, node: Node, ins: list[np.ndarray]) -> np.ndarray:
-        kind = node.kind
-        if kind == "conv":
-            a = node.attrs
-            return ops.conv2d_fwd(ins[0], self.params[f"{node.id}.w"], a["stride"], a["pad"])
-        if kind == "bn":
-            a, c = self.bn_aff(node.id)
-            y = ins[0] * a
-            y += c
-            return y
-        if kind == "relu":
-            return np.maximum(ins[0], 0)
-        if kind == "upsample":
-            return ops.bilinear_up2_fwd(ins[0])
-        if kind == "chpool":
-            return ops.channel_pool2_fwd(ins[0], node.attrs.get("mode", "avg"))
-        if kind == "concat":
-            return ops.concat_fwd(ins)
-        if kind == "add":
-            return ops.add_fwd(ins[0], ins[1])
-        raise ValueError(f"cannot execute node kind {kind!r}")
+    def walk(
+        self,
+        nodes: list[Node],
+        acts: dict[str, np.ndarray],
+        keep: bool = False,
+        base: dict[str, np.ndarray] | None = None,
+        kink_ctx: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
+        check_finite: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Execute ``nodes`` in order: the one executor behind both the
+        forward pass and the gradient checker's replay.
+
+        ``acts`` starts with the walk's own buffer (the graph input, or the
+        perturbed owner lanes) and collects node outputs.  An input missing
+        from it is read from the read-only ``base`` activations, broadcast
+        along the batch axis.  Unless ``keep`` is set, a conv whose sole
+        consumer is a batchnorm runs fused with it, an elementwise node
+        overwrites an input buffer it is the last consumer of, and buffers
+        are dropped after their last consumer; with ``keep`` every output
+        stays in ``acts`` for the reverse sweep.  The graph input and output
+        are never overwritten or dropped.
+
+        Returns the graph output together with a per-lane bound on the loss
+        error a finite difference suffers from ReLU state flips: for every
+        unit whose sign differs from the baseline in ``kink_ctx``, the
+        deviation of ``relu`` from its baseline linearization is at most
+        ``|z|``, weighted by the baseline sensitivity of the loss to that
+        unit.  Without ``kink_ctx`` the bound is zero.
+        """
+        fixed = (self.graph.input_id, self.graph.output_id)
+        b = next(iter(acts.values())).shape[0]
+        remaining: dict[str, int] = {}
+        for node in nodes:
+            for src in node.inputs:
+                remaining[src] = remaining.get(src, 0) + 1
+
+        def fetch(src: str) -> np.ndarray:
+            a = acts.get(src)
+            if a is None:
+                a = base[src]
+                if a.shape[0] != b:
+                    a = np.broadcast_to(a, (b,) + a.shape[1:])
+            return a
+
+        kink_err = np.zeros(b)
+        fused: set[str] = set()
+        for node in nodes:
+            if node.id in fused:
+                continue
+            ins = [fetch(src) for src in node.inputs]
+            src0 = node.inputs[0]
+            own0 = not keep and src0 in acts and remaining[src0] == 1 and src0 not in fixed
+            store_as = node.id
+            kind = node.kind
+            if kind == "conv":
+                a = node.attrs
+                y = ops.conv2d_fwd(ins[0], self.params[f"{node.id}.w"], a["stride"], a["pad"])
+                bn = None if keep else self.conv_bn.get(node.id)
+                if bn is not None:
+                    scale, shift = self.bn_aff(bn.id)
+                    y *= scale
+                    y += shift
+                    fused.add(bn.id)
+                    store_as = bn.id
+            elif kind == "bn":
+                scale, shift = self.bn_aff(node.id)
+                if own0:
+                    y = ins[0]
+                    y *= scale
+                else:
+                    y = ins[0] * scale
+                y += shift
+            elif kind == "relu":
+                ctx = kink_ctx.get(node.id) if kink_ctx else None
+                if ctx is not None:
+                    base_mask, sens = ctx
+                    flipped = (ins[0] > 0) != base_mask
+                    if flipped.any():
+                        kink_err += np.abs(ins[0] * sens * flipped).sum(axis=(1, 2, 3))
+                y = np.maximum(ins[0], 0, out=ins[0] if own0 else None)
+            elif kind == "upsample":
+                y = ops.bilinear_up2_fwd(ins[0])
+            elif kind == "chpool":
+                y = ops.channel_pool2_fwd(ins[0], node.attrs.get("mode", "avg"))
+            elif kind == "concat":
+                y = ops.concat_fwd(ins)
+            elif kind == "add":
+                if own0 and ins[0].shape == ins[1].shape:
+                    y = ins[0]
+                    y += ins[1]
+                else:
+                    y = ops.add_fwd(ins[0], ins[1])
+            else:
+                raise ValueError(f"cannot execute node kind {kind!r}")
+            if node.out_shape is not None and y.shape != (b, *node.out_shape[1:]):
+                raise ShapeMismatch(f"node {node.id!r} produced {y.shape}, expected {node.out_shape}")
+            if check_finite and not np.isfinite(y).all():
+                raise FloatingPointError(f"non-finite values after node {node.id!r}")
+            if not keep:
+                for src in node.inputs:
+                    if src in acts and src not in fixed:
+                        remaining[src] -= 1
+                        if remaining[src] == 0:
+                            del acts[src]
+            acts[store_as] = y
+        out = acts.get(self.graph.output_id)
+        if out is None:  # the walk does not reach the output; it is constant
+            out = base[self.graph.output_id]
+            out = np.broadcast_to(out, (b,) + out.shape[1:])
+        return out, kink_err
 
 
 def run_forward(
@@ -312,40 +391,21 @@ def run_forward(
     store: WeightStore,
     x: np.ndarray,
     keep_activations: bool = False,
-    check_shapes: bool = True,
     check_finite: bool = False,
 ) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
-    """Execute the graph in topological order.
+    """Execute the graph in topological order; ``x`` is never modified.
 
     With ``keep_activations`` every node's output is retained (needed for
-    the reverse sweep); otherwise buffers are freed as soon as their last
-    consumer has run.
+    the reverse sweep); otherwise buffers are reused and freed as soon as
+    their last consumer has run.
     """
-    ex = _Exec(graph, store, x.dtype)
-    remaining: dict[str, int] = {}
-    for node in graph.nodes:
-        for src in node.inputs:
-            remaining[src] = remaining.get(src, 0) + 1
-    acts: dict[str, np.ndarray] = {graph.input_id: x}
-    if check_shapes and graph.nodes[0].out_shape is not None:
-        if tuple(x.shape) != tuple(graph.nodes[0].out_shape):
-            raise ShapeMismatch(
-                f"input shape {x.shape} does not match the graph's {graph.nodes[0].out_shape}"
-            )
-    for node in graph.nodes[1:]:
-        ins = [acts[i] for i in node.inputs]
-        y = ex.eval_node(node, ins)
-        if check_shapes and node.out_shape is not None and tuple(y.shape) != tuple(node.out_shape):
-            raise ShapeMismatch(f"node {node.id!r} produced {y.shape}, expected {node.out_shape}")
-        if check_finite and not np.isfinite(y).all():
-            raise FloatingPointError(f"non-finite values after node {node.id!r}")
-        acts[node.id] = y
-        if not keep_activations:
-            for src in node.inputs:
-                remaining[src] -= 1
-                if remaining[src] == 0 and src != graph.output_id and src != graph.input_id:
-                    del acts[src]
-    out = acts[graph.output_id]
+    want = graph.nodes[0].out_shape
+    if want is not None and tuple(x.shape) != tuple(want):
+        raise ShapeMismatch(f"input shape {x.shape} does not match the graph's {want}")
+    acts = {graph.input_id: x}
+    out, _ = _Exec(graph, store, x.dtype).walk(
+        graph.nodes[1:], acts, keep=keep_activations, check_finite=check_finite
+    )
     return out, (acts if keep_activations else None)
 
 
@@ -482,6 +542,12 @@ class GradCheckReport:
         return sum(p.skipped_kinks for p in self.params)
 
     @property
+    def unchecked(self) -> list[str]:
+        """Non-empty tensors that compared no coordinate: every interval
+        drawn for them straddled a ReLU kink.  They still count as passed."""
+        return [p.name for p in self.params if p.size and not p.checked]
+
+    @property
     def fully_sampled(self) -> bool:
         """Every parameter had at least min(sample_count, size) coordinates
         drawn (kink-straddling intervals among them are reported, not
@@ -502,6 +568,7 @@ class GradCheckReport:
             "skipped_kinks": self.total_skipped,
             "nonfinite": self.total_nonfinite,
             "fully_sampled": self.fully_sampled,
+            "unchecked": self.unchecked,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
             "workers": self.workers,
             "blas_limiter": self.blas_limiter,
@@ -531,6 +598,10 @@ class GradCheckReport:
         ]
         if self.total_nonfinite:
             lines.append(f"{self.total_nonfinite} comparisons were not finite")
+        if self.unchecked:
+            lines.append(
+                f"{len(self.unchecked)} tensors compared no coordinate: " + ", ".join(self.unchecked)
+            )
         lines += [
             f"max relative error {self.max_rel_err:.3e} vs tolerance {self.tolerance:g} -> "
             + ("PASS" if self.passed else "FAIL"),
@@ -604,93 +675,6 @@ def _stacked_patch(
     return lanes
 
 
-def _batched_replay(
-    ex: _Exec,
-    sub: list[Node],
-    base: dict[str, np.ndarray],
-    owner_id: str,
-    lanes: np.ndarray,
-    output_id: str,
-    kink_ctx: dict[str, tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re-execute the owner's descendants with perturbations stacked along
-    the batch axis, reading untouched inputs from the baseline cache.
-
-    Returns the batched graph output together with a per-lane bound on the
-    loss error a finite difference suffers from ReLU state flips: for every
-    unit whose sign differs from the baseline, the deviation of ``relu``
-    from its baseline linearization is at most ``|z|``, weighted by the
-    baseline sensitivity of the loss to that unit (from ``kink_ctx``).
-    Buffers are freed as their last in-subgraph consumer runs.
-    """
-    b = lanes.shape[0]
-    remaining: dict[str, int] = {}
-    for node in sub:
-        for src in node.inputs:
-            remaining[src] = remaining.get(src, 0) + 1
-    local: dict[str, np.ndarray] = {owner_id: lanes}
-    kink_err = np.zeros(b)
-    fused: set[str] = set()
-    out = None
-    for node in sub:
-        if node.id in fused:
-            continue
-        ins = []
-        for src in node.inputs:
-            a = local.get(src)
-            if a is None:
-                a = base[src]
-                if node.kind in ("concat", "add") and a.shape[0] != b:
-                    a = np.broadcast_to(a, (b,) + a.shape[1:])
-            ins.append(a)
-        # elementwise nodes may overwrite a buffer whose last consumer this
-        # is; the allocation churn dominates otherwise
-        own0 = node.inputs and node.inputs[0] in local and remaining[node.inputs[0]] == 1
-        store_as = node.id
-        if node.kind == "relu":
-            z = ins[0]
-            ctx = kink_ctx.get(node.id)
-            if ctx is not None:
-                base_mask, sens = ctx
-                flipped = (z > 0) != base_mask
-                if flipped.any():
-                    kink_err += np.abs(z * sens * flipped).sum(axis=(1, 2, 3))
-            if own0:
-                y = z
-                np.maximum(y, 0, out=y)
-            else:
-                y = np.maximum(z, 0)
-        elif node.kind == "conv" and node.id in ex.conv_bn:
-            bn = ex.conv_bn[node.id]
-            y = ex.eval_node(node, ins)
-            scale, shift = ex.bn_aff(bn.id)
-            y *= scale
-            y += shift
-            fused.add(bn.id)
-            store_as = bn.id
-        elif node.kind == "bn" and own0:
-            scale, shift = ex.bn_aff(node.id)
-            y = ins[0]
-            y *= scale
-            y += shift
-        elif node.kind == "add" and own0 and ins[0].shape == ins[1].shape:
-            y = ins[0]
-            y += ins[1]
-        else:
-            y = ex.eval_node(node, ins)
-        for src in node.inputs:
-            if src in local:
-                remaining[src] -= 1
-                if remaining[src] == 0 and src != output_id and local[src] is not y:
-                    del local[src]
-        local[store_as] = y
-        if store_as == output_id:
-            out = y
-    if out is None:  # parameter does not reach the output; treat as constant
-        out = np.broadcast_to(base[output_id], (b,) + base[output_id].shape[1:])
-    return out, kink_err
-
-
 class _GcState:
     """Shared read-only state for the per-tensor check, inherited by forked
     workers without serialization."""
@@ -744,9 +728,7 @@ def _check_entry(st: _GcState, entry: tuple[str, str, str, tuple[int, ...]]) -> 
                 continue
         k = len(chunk)
         lanes = _stacked_patch(kind, node, chunk, eps, base_out, x_in, ex.params, win)
-        out_lanes, kink_err = _batched_replay(
-            ex, sub, acts, node_id, lanes, graph.output_id, st.kink_ctx
-        )
+        out_lanes, kink_err = ex.walk(sub, {node_id: lanes}, base=acts, kink_ctx=st.kink_ctx)
         # subtract before reducing: the elementwise deltas are tiny and
         # nearly equal in exponent, so these means are almost exact
         fd = (out_lanes[:k] - out_lanes[k:]).mean(axis=(1, 2, 3)) / (2 * eps)

@@ -171,3 +171,32 @@ def test_gradcheck_bad_settings_exit_2(capsys, setting):
     assert code == 2
     assert "PASS" not in out
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["summarize", "--structure", "1v1v1v1v1^1^1^1^1", "--width", "1000"], 2),
+        (["summarize", "--structure", "1v1v3v2=", "--width", "0"], 2),
+        (["summarize", "--structure", "1v1v3v2=", "--blocks", "0"], 2),
+        (["summarize", "--preset", "uhrnet-w18-small", "--convention", "bn=maybe"], 2),
+        (["summarize", "--preset", "uhrnet-w18-small", "--convention", "mac=two"], 2),
+        (["summarize", "--preset", "uhrnet-w18-small", "--convention", "cls=1.5"], 2),
+        (["forward", "--preset", "uhrnet-w18-small-va", "--weights", "{other}",
+          "--input-file", "{x}", "--out-file", "{y}"], 4),
+    ],
+    ids=["width-overflow", "width-0", "blocks-0", "bn-flag", "mac-int", "cls-int", "weights-other-preset"],
+)
+def test_bad_input_maps_to_exit_code(tmp_path, capsys, argv, code):
+    files = {"other": tmp_path / "other.hrws", "x": tmp_path / "x.hrtf", "y": tmp_path / "y.hrtf"}
+    if "{other}" in argv:
+        assert main(["init", "--preset", "hrnetv2-w18-small-v2", "--out", str(files["other"])]) == 0
+        ops.write_tensor(files["x"], np.zeros((1, 3, 64, 64), dtype=np.float32))
+    argv = [a.format(**files) for a in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert "error:" in err and "Traceback" not in err

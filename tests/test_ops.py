@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,18 +7,21 @@ from hypothesis import given, settings, strategies as st
 from uhrkit import ops
 from uhrkit.ops import (
     OddChannelCount,
-    OpTape,
     ShapeMismatch,
-    TapeMismatch,
     Tensor,
-    add,
-    backward,
-    batchnorm_infer,
-    bilinear_upsample,
-    channel_avg_pool2,
-    concat_channels,
-    conv2d,
-    relu,
+    add_fwd,
+    batchnorm_fwd,
+    batchnorm_vjp,
+    bilinear_up2_fwd,
+    bilinear_up2_vjp,
+    channel_pool2_fwd,
+    channel_pool2_vjp,
+    concat_fwd,
+    concat_vjp,
+    conv2d_fwd,
+    conv2d_vjp,
+    relu_fwd,
+    relu_vjp,
 )
 
 
@@ -57,13 +62,13 @@ def test_conv_identity_kernel():
     x = _rng().normal(size=(1, 1, 5, 5)).astype(np.float32)
     w = np.zeros((1, 1, 3, 3), dtype=np.float32)
     w[0, 0, 1, 1] = 1.0
-    assert np.allclose(conv2d(Tensor(x), Tensor(w)).data, x)
+    assert np.allclose(conv2d_fwd(x, w), x)
 
 
 def test_conv_all_ones_counts_window():
     x = np.ones((1, 1, 4, 4), dtype=np.float32)
     w = np.ones((1, 1, 3, 3), dtype=np.float32)
-    y = conv2d(Tensor(x), Tensor(w)).data[0, 0]
+    y = conv2d_fwd(x, w)[0, 0]
     assert y[0, 0] == 4 and y[0, 3] == 4 and y[3, 0] == 4 and y[3, 3] == 4
     assert y[0, 1] == 6 and y[1, 0] == 6 and y[2, 3] == 6
     assert (y[1:3, 1:3] == 9).all()
@@ -74,7 +79,7 @@ def test_conv_1x1_scales():
     w = np.zeros((3, 3, 1, 1), dtype=np.float32)
     for c in range(3):
         w[c, c, 0, 0] = 2.0
-    assert np.allclose(conv2d(Tensor(x), Tensor(w)).data, 2 * x)
+    assert np.allclose(conv2d_fwd(x, w), 2 * x)
 
 
 def test_conv_matches_naive_oracle():
@@ -96,13 +101,13 @@ def test_conv_shape_mismatch():
     x = np.zeros((1, 3, 4, 4), dtype=np.float32)
     w = np.zeros((2, 4, 3, 3), dtype=np.float32)
     with pytest.raises(ShapeMismatch):
-        conv2d(Tensor(x), Tensor(w))
+        conv2d_fwd(x, w)
 
 
 def test_conv_stride2_output_size():
     x = np.zeros((1, 2, 8, 8), dtype=np.float32)
     w = np.zeros((5, 2, 3, 3), dtype=np.float32)
-    assert conv2d(Tensor(x), Tensor(w), stride=2).shape == (1, 5, 4, 4)
+    assert conv2d_fwd(x, w, stride=2).shape == (1, 5, 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -112,26 +117,23 @@ def test_conv_stride2_output_size():
 def test_batchnorm_identity():
     x = _rng(2).normal(size=(1, 3, 4, 4))
     ones, zeros = np.ones(3), np.zeros(3)
-    y = batchnorm_infer(Tensor(x), Tensor(ones), Tensor(zeros), Tensor(zeros), Tensor(ones), eps=1e-12)
-    assert np.allclose(y.data, x, atol=1e-9)
+    y = batchnorm_fwd(x, ones, zeros, zeros, ones, eps=1e-12)
+    assert np.allclose(y, x, atol=1e-9)
 
 
 def test_batchnorm_constant_input_gives_beta():
     x = np.full((1, 2, 3, 3), 7.0)
     mean = np.full(2, 7.0)
     beta = np.array([0.5, -1.0])
-    y = batchnorm_infer(Tensor(x), Tensor(np.ones(2)), Tensor(beta), Tensor(mean), Tensor(np.ones(2)))
-    assert np.allclose(y.data[0, 0], 0.5) and np.allclose(y.data[0, 1], -1.0)
+    y = batchnorm_fwd(x, np.ones(2), beta, mean, np.ones(2))
+    assert np.allclose(y[0, 0], 0.5) and np.allclose(y[0, 1], -1.0)
 
 
 def test_batchnorm_direct_substitution():
     # gamma 2, beta 1, mean 0, var 3, eps 1, x 4 -> 2*4/sqrt(4) + 1 = 5
     x = np.full((1, 1, 1, 1), 4.0)
-    y = batchnorm_infer(
-        Tensor(x), Tensor(np.array([2.0])), Tensor(np.array([1.0])),
-        Tensor(np.array([0.0])), Tensor(np.array([3.0])), eps=1.0,
-    )
-    assert np.allclose(y.data, 5.0)
+    y = batchnorm_fwd(x, np.array([2.0]), np.array([1.0]), np.array([0.0]), np.array([3.0]), eps=1.0)
+    assert np.allclose(y, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -140,25 +142,25 @@ def test_batchnorm_direct_substitution():
 
 def test_relu_examples():
     x = np.array([[-1.0, 0.0, 2.0]]).reshape(1, 1, 1, 3)
-    assert np.array_equal(relu(Tensor(x)).data.ravel(), [0, 0, 2])
-    assert (relu(Tensor(-np.ones((1, 2, 2, 2)))).data == 0).all()
+    assert np.array_equal(relu_fwd(x).ravel(), [0, 0, 2])
+    assert (relu_fwd(-np.ones((1, 2, 2, 2))) == 0).all()
 
 
 def test_relu_idempotent():
     x = _rng(3).normal(size=(2, 3, 4, 4))
-    once = relu(Tensor(x)).data
-    assert np.array_equal(relu(Tensor(once)).data, once)
+    once = relu_fwd(x)
+    assert np.array_equal(relu_fwd(once), once)
 
 
 def test_upsample_constant():
     x = np.full((1, 2, 3, 3), 4.5)
-    y = bilinear_upsample(Tensor(x)).data
+    y = bilinear_up2_fwd(x)
     assert y.shape == (1, 2, 6, 6) and np.allclose(y, 4.5)
 
 
 def test_upsample_corner_aligned_ramp():
     x = np.array([0.0, 3.0]).reshape(1, 1, 1, 2)
-    y = bilinear_upsample(Tensor(x)).data
+    y = bilinear_up2_fwd(x)
     assert y.shape == (1, 1, 2, 4)
     assert np.allclose(y[0, 0, 0], [0, 1, 2, 3])
     assert np.allclose(y[0, 0, 1], [0, 1, 2, 3])
@@ -166,37 +168,37 @@ def test_upsample_corner_aligned_ramp():
 
 def test_upsample_single_pixel():
     x = np.array([[[[2.5]]]])
-    assert np.allclose(bilinear_upsample(Tensor(x)).data, np.full((1, 1, 2, 2), 2.5))
+    assert np.allclose(bilinear_up2_fwd(x), np.full((1, 1, 2, 2), 2.5))
 
 
 def test_channel_pool_definition():
     x = np.arange(4, dtype=np.float64).reshape(1, 4, 1, 1)
-    y = channel_avg_pool2(Tensor(x)).data
+    y = channel_pool2_fwd(x, "avg")
     assert np.allclose(y.ravel(), [0.5, 2.5])
 
 
 def test_channel_pool_duplicated_channels():
     x = _rng(4).normal(size=(1, 3, 2, 2))
     dup = np.repeat(x, 2, axis=1)
-    assert np.allclose(channel_avg_pool2(Tensor(dup)).data, x)
+    assert np.allclose(channel_pool2_fwd(dup, "avg"), x)
 
 
 def test_channel_pool_shape_and_odd():
     x = np.zeros((1, 18, 5, 7))
-    assert channel_avg_pool2(Tensor(x)).shape == (1, 9, 5, 7)
+    assert channel_pool2_fwd(x, "avg").shape == (1, 9, 5, 7)
     with pytest.raises(OddChannelCount):
-        channel_avg_pool2(Tensor(np.zeros((1, 3, 2, 2))))
+        channel_pool2_fwd(np.zeros((1, 3, 2, 2)), "avg")
 
 
 def test_concat_and_add():
     a = _rng(5).normal(size=(1, 4, 2, 2))
     b = _rng(6).normal(size=(1, 5, 2, 2))
-    cat = concat_channels([Tensor(a), Tensor(b)]).data
+    cat = concat_fwd([a, b])
     assert cat.shape == (1, 9, 2, 2)
     assert np.array_equal(cat[:, :4], a) and np.array_equal(cat[:, 4:], b)
-    assert np.array_equal(add(Tensor(a), Tensor(np.zeros_like(a))).data, a)
+    assert np.array_equal(add_fwd(a, np.zeros_like(a)), a)
     with pytest.raises(ShapeMismatch):
-        add(Tensor(a), Tensor(b))
+        add_fwd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -232,37 +234,22 @@ def test_forward_determinism():
 
 
 # ---------------------------------------------------------------------------
-# tape and gradients
+# gradients
 
 
 def test_backward_relu_examples():
     for val, expect in ((2.0, 1.0), (-2.0, 0.0)):
-        tape = OpTape()
-        x = Tensor(np.array([[[[val]]]]))
-        out = relu(x, tape=tape)
-        backward(tape, np.ones_like(out.data))
-        assert x.grad.ravel()[0] == expect
+        x = np.array([[[[val]]]])
+        assert relu_vjp(x, np.ones_like(relu_fwd(x))).ravel()[0] == expect
 
 
 def test_backward_1x1_conv_weight_is_input_dot_grad():
     rng = _rng(7)
-    x = Tensor(rng.normal(size=(1, 1, 3, 3)))
-    w = Tensor(rng.normal(size=(1, 1, 1, 1)))
-    tape = OpTape()
-    out = conv2d(x, w, tape=tape)
-    g = rng.normal(size=out.shape)
-    backward(tape, g)
-    assert np.allclose(w.grad.ravel()[0], np.sum(x.data * g))
-
-
-def test_backward_tape_mismatch():
-    tape = OpTape()
-    with pytest.raises(TapeMismatch):
-        backward(tape, np.ones((1, 1, 1, 1)))
-    x = Tensor(np.ones((1, 2, 2, 2)))
-    relu(x, tape=tape)
-    with pytest.raises(TapeMismatch):
-        backward(tape, np.ones((1, 2, 2, 3)))
+    x = rng.normal(size=(1, 1, 3, 3))
+    w = rng.normal(size=(1, 1, 1, 1))
+    g = rng.normal(size=conv2d_fwd(x, w).shape)
+    _, dw = conv2d_vjp(x, w, 1, None, g)
+    assert np.allclose(dw.ravel()[0], np.sum(x * g))
 
 
 def _central_diff(f, arr, idx, eps=1e-4):
@@ -287,53 +274,37 @@ def test_primitive_gradients_match_central_differences(name):
     mean, var = rng.normal(size=3) * 0.1, rng.random(3) + 0.5
     weight = rng.normal(size=(2, 4, 6, 6))  # fixed projection for a scalar loss
 
-    def run(name, arrays):
-        tape = OpTape()
-        ts = [Tensor(a) for a in arrays]
-        if name in ("conv_x", "conv_w"):
-            out = conv2d(ts[0], ts[1], tape=tape)
-            loss_w = weight
-        elif name == "bn":
-            out = batchnorm_infer(ts[0], ts[1], ts[2], ts[3], ts[4], tape=tape)
-            loss_w = weight[:, :3]
-        elif name == "upsample":
-            out = bilinear_upsample(ts[0], tape=tape)
-            loss_w = np.ones((2, 3, 12, 12))
-        elif name == "chpool":
-            out = channel_avg_pool2(concat_channels([ts[0], ts[0]], tape=tape), tape=tape)
-            loss_w = weight[:, :3]
-        elif name == "concat":
-            out = concat_channels([ts[0], ts[1]], tape=tape)
-            loss_w = np.ones((2, 6, 6, 6))
-        elif name == "add":
-            out = add(ts[0], ts[1], tape=tape)
-            loss_w = weight[:, :3]
-        else:
-            out = relu(ts[0], tape=tape)
-            loss_w = weight[:, :3]
-        return ts, tape, out, loss_w
+    def chpool_vjp(a, dy):  # pooling over [x, x]: both halves route to x
+        cat = concat_fwd([a[0], a[0]])
+        da, db = concat_vjp([a[0], a[0]], channel_pool2_vjp(cat, dy))
+        return da + db
 
-    arrays = {
-        "conv_x": [x, w],
-        "conv_w": [x, w],
-        "bn": [x, gamma, beta, mean, var],
-        "upsample": [x],
-        "chpool": [x],
-        "concat": [x, x2],
-        "add": [x, x2],
-        "relu": [x],
+    # arrays, index of the differentiated array, forward, its VJP w.r.t.
+    # that array, and the projection that makes the loss scalar
+    arrays, target, fwd, vjp, loss_w = {
+        "conv_x": ([x, w], 0, lambda a: conv2d_fwd(a[0], a[1]),
+                   lambda a, dy: conv2d_vjp(a[0], a[1], 1, None, dy)[0], weight),
+        "conv_w": ([x, w], 1, lambda a: conv2d_fwd(a[0], a[1]),
+                   lambda a, dy: conv2d_vjp(a[0], a[1], 1, None, dy)[1], weight),
+        "bn": ([x, gamma, beta, mean, var], 4, lambda a: batchnorm_fwd(*a),
+               lambda a, dy: batchnorm_vjp(*a, 1e-5, dy)[4], weight[:, :3]),
+        "upsample": ([x], 0, lambda a: bilinear_up2_fwd(a[0]),
+                     lambda a, dy: bilinear_up2_vjp(a[0], dy), np.ones((2, 3, 12, 12))),
+        "chpool": ([x], 0, lambda a: channel_pool2_fwd(concat_fwd([a[0], a[0]])),
+                   chpool_vjp, weight[:, :3]),
+        "concat": ([x, x2], 1, concat_fwd,
+                   lambda a, dy: concat_vjp(a, dy)[1], np.ones((2, 6, 6, 6))),
+        "add": ([x, x2], 0, lambda a: add_fwd(a[0], a[1]), lambda a, dy: dy, weight[:, :3]),
+        "relu": ([x], 0, lambda a: relu_fwd(a[0]),
+                 lambda a, dy: relu_vjp(a[0], dy), weight[:, :3]),
     }[name]
-    target = {"conv_x": 0, "conv_w": 1, "bn": 4, "upsample": 0, "chpool": 0, "concat": 1, "add": 0, "relu": 0}[name]
-
-    ts, tape, out, loss_w = run(name, arrays)
-    backward(tape, loss_w)
-    analytic = ts[target].grad
+    analytic = vjp(arrays, loss_w)
+    assert analytic.shape == arrays[target].shape
 
     def loss(perturbed):
         arrs = list(arrays)
         arrs[target] = perturbed
-        _, _, o, lw = run(name, arrs)
-        return float(np.sum(o.data * lw))
+        return float(np.sum(fwd(arrs) * loss_w))
 
     rng2 = np.random.default_rng(13)
     size = arrays[target].size
@@ -352,11 +323,22 @@ def test_tensor_file_round_trip(tmp_path):
     t = Tensor(_rng(21).normal(size=(2, 3, 4, 5)).astype(np.float32))
     path = tmp_path / "x.hrtf"
     ops.write_tensor(path, t)
+    first = path.read_bytes()
     back = ops.read_tensor(path)
     assert back.data.dtype == np.float32
     assert np.array_equal(back.data, t.data)
     ops.write_tensor(path, back)
-    assert path.read_bytes() == path.read_bytes()
+    assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("dtype, code, fmt", [(np.float32, 0, "f"), (np.float64, 1, "d")])
+def test_tensor_file_bytes_follow_documented_layout(tmp_path, dtype, code, fmt):
+    # magic, u32 version, u8 dtype, u8 rank, u64 dims, little-endian payload
+    x = (np.arange(6, dtype=dtype) - 2.5).reshape(2, 3)
+    path = tmp_path / "x.hrtf"
+    ops.write_tensor(path, x)
+    want = b"HRTF" + struct.pack("<IBB2Q", 1, code, 2, 2, 3) + struct.pack(f"<6{fmt}", *x.ravel())
+    assert path.read_bytes() == want
 
 
 def test_tensor_file_float64(tmp_path):
@@ -376,3 +358,8 @@ def test_tensor_file_errors(tmp_path):
     path.write_bytes(raw[:-3])  # truncated payload
     with pytest.raises(ops.FormatError):
         ops.read_tensor(path)
+    path.write_bytes(raw + b"\0")  # trailing byte
+    with pytest.raises(ops.FormatError, match="offset 42"):
+        ops.read_tensor(path)
+    with pytest.raises(ValueError, match="unsupported dtype"):
+        ops.write_tensor(path, np.zeros((2, 2), dtype=np.int32))

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,34 @@ def test_weights_bit_flip_detected(tmp_path):
         load_weights(path)
 
 
+def test_weights_corrupt_entry_reports_offset(tmp_path):
+    # a bad entry under a valid CRC: the entry decoder has to catch it
+    path = tmp_path / "w.hrws"
+    save_weights(init_weights(presets.build_micro(), 0), path)
+    raw = path.read_bytes()
+    head, body = raw[:20], bytearray(raw[20:-4])
+
+    def load(body):
+        path.write_bytes(head + bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        return load_weights(path)
+
+    rank_at = 2 + len("stem.conv1.conv.w") + 1  # name length, name, dtype, rank
+    assert body[rank_at] == 4
+    body[rank_at] = 9
+    with pytest.raises(FormatError, match=f"rank 9 \\(offset {20 + rank_at}\\)"):
+        load(body)
+    body[rank_at] = 4
+    with pytest.raises(FormatError, match="trailing"):
+        load(body + b"\0")
+
+
+def test_save_weights_rejects_unsupported_dtype(tmp_path):
+    store = init_weights(presets.build_micro(), 0)
+    store.arrays["stem.conv1.bn.gamma"] = store.arrays["stem.conv1.bn.gamma"].astype(np.int32)
+    with pytest.raises(ValueError, match="unsupported dtype"):
+        save_weights(store, tmp_path / "w.hrws")
+
+
 def test_missing_weight_rejected():
     g = tiny_graph()
     store = init_weights(g, 0)
@@ -130,6 +161,28 @@ def test_forward_micro_shape_and_determinism():
     assert out1.shape == (1, 62, 16, 16)  # 15.5 * 4 channels
     assert np.array_equal(out1.data, out2.data)
     assert np.isfinite(out1.data).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("graph", ["micro", "tiny"])
+def test_forward_reuse_matches_kept_activations(graph, dtype):
+    # the walk fuses conv+bn and overwrites dead buffers unless activations
+    # are kept; both must give the same bytes and leave the input alone
+    if graph == "micro":
+        g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
+    else:
+        g = tiny_graph()
+    store = init_weights(g, 42).astype(dtype)
+    x = verification_input(g.nodes[0].out_shape, 42).data.astype(dtype)
+    x_before = x.copy()
+    reused, none = run_forward(g, store, x)
+    kept, acts = run_forward(g, store, x, keep_activations=True)
+    assert none is None
+    assert reused.dtype == kept.dtype == dtype
+    assert reused.tobytes() == kept.tobytes()
+    assert acts[g.input_id] is x
+    assert len(acts) == len(g.nodes)
+    assert x.tobytes() == x_before.tobytes()
 
 
 def test_forward_zero_convs_give_zero_output():
@@ -228,9 +281,13 @@ def test_gradcheck_report_fields():
     assert doc["blas_threads"] == (0 if doc["blas_limiter"] == "none" else 1)
     assert doc["nonfinite"] == 0
     assert all(p["nonfinite"] == 0 for p in doc["params"])
+    assert doc["unchecked"] == rep.unchecked == [p.name for p in rep.params if p.checked == 0]
+    assert "stem.conv1.conv.w" in rep.unchecked  # every interval drawn straddles a kink
     text = rep.to_text()
     assert "PASS" in text or "FAIL" in text
     assert f"workers 1, BLAS limiter {doc['blas_limiter']}" in text
+    assert ("compared no coordinate" in text) == bool(rep.unchecked)
+    assert all(name in text for name in rep.unchecked)
 
 
 @pytest.mark.skipif(

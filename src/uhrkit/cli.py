@@ -48,7 +48,10 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_convention(text: str) -> analysis.CostConvention | None:
-    """``auto`` or a comma list like ``mac=1,bn=off,relu=off,up=off,head=on,cls=19,unit=gi``."""
+    """``auto`` or a comma list like ``mac=1,bn=off,relu=off,up=off,head=on,cls=19,unit=gi``.
+
+    ``mac`` is 1 or 2, ``cls`` a class count >= 0 and ``unit`` one of
+    ``gi``/``2^30`` or ``g``/``10^9``: the values calibration searches."""
     if text == "auto":
         return None
     kw = {}
@@ -58,7 +61,7 @@ def _parse_convention(text: str) -> analysis.CostConvention | None:
         key, val = key.strip(), val.strip().lower()
         try:
             if key == "mac":
-                kw["mac_factor"] = int(val)
+                kw["mac_factor"] = {"1": 1, "2": 2}[val]
             elif key in ("bn", "relu"):
                 kw[f"include_{key}"] = flags[val]
             elif key in ("up", "upsample"):
@@ -66,9 +69,11 @@ def _parse_convention(text: str) -> analysis.CostConvention | None:
             elif key == "head":
                 kw["include_head"] = flags[val]
             elif key in ("cls", "classifier"):
+                if not val.isdigit():
+                    raise ValueError(val)
                 kw["classifier_classes"] = int(val)
             elif key == "unit":
-                kw["unit_divisor"] = 2**30 if val in ("gi", "2^30") else 10**9
+                kw["unit_divisor"] = {"gi": 2**30, "2^30": 2**30, "g": 10**9, "10^9": 10**9}[val]
             else:
                 raise argparse.ArgumentTypeError(f"unknown convention field {key!r}")
         except (KeyError, ValueError):
@@ -323,6 +328,9 @@ def main(argv=None) -> int:
     except (UnknownPreset, InvalidSequence, WidthOverflow, runtime.InvalidCheckSettings) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except runtime.WeightShapeMismatch as exc:
+        sys.stderr.write(f"error: the weight file does not fit the graph: {exc}\n")
+        return EXIT_IO
     except (IndivisibleInput, ShapeMismatch, OddChannelCount) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SHAPE

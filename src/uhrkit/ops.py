@@ -10,6 +10,18 @@ The module also holds the one binary codec for a tensor entry,
 ``{u8 dtype, u8 rank, u64 dims[rank], little-endian payload}``, used by
 tensor files here and by weight files in :mod:`uhrkit.runtime`.
 
+Convolutions with a kernel larger than 1x1, or a stride, work through the
+output one band of rows at a time, and a band's temporary (the shift-GEMM
+product, or the strided path's im2col columns) stays within
+``BAND_BYTES`` (16 MiB) whatever the map size.  Full-map temporaries
+reached 305 MB at the 1x3x1024x2048 cost input, and allocating and
+faulting in those pages cost about a quarter of a forward pass's wall
+time.  Every output element is still the same dot product over input
+channels, with the kernel offsets added in the same order; the GEMMs
+only change shape, which for a batch of one left every output bit of
+the reference presets unchanged.  A batched GEMM of another shape may
+round differently in the last bit.
+
 Conventions:
 
 * convolution is cross-correlation (no kernel flip), padding ``k // 2``,
@@ -54,6 +66,15 @@ class ChecksumMismatch(ValueError):
 # ---------------------------------------------------------------------------
 # convolution
 
+# Byte budget for the temporary of one band of output rows: the shift-GEMM
+# product or the strided path's im2col columns.
+BAND_BYTES = 16 * 2**20
+
+
+def _pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """``x`` zero-padded by ``pad`` on both spatial axes."""
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+
 
 def conv_windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     """Sliding input windows of a conv, shape (N, C, Ho, Wo, k, k).
@@ -61,49 +82,55 @@ def conv_windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     Returns a strided view (no copy); also used by the gradient checker to
     form single-column perturbations without a full re-convolution.
     """
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (k, k), axis=(2, 3))
+    win = sliding_window_view(_pad(x, pad), (k, k), axis=(2, 3))
     return win[:, :, ::stride, ::stride]
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
-    """Columns shaped (N, C*k*k, Ho*Wo), entries ordered (c, ki, kj).
+def _band_rows(row_bytes: int, halo: int, rows: int) -> int:
+    """Output rows per band: as many as keep ``(band + halo) * row_bytes``
+    within ``BAND_BYTES``, at least one and at most ``rows``."""
+    return max(1, min(rows, BAND_BYTES // max(row_bytes, 1) - halo))
+
+
+def _im2col(xp: np.ndarray, k: int, stride: int, wo: int, r0: int, r1: int) -> np.ndarray:
+    """Columns for output rows ``r0:r1`` of a conv over the padded input
+    ``xp``, shaped (N, C*k*k, (r1-r0)*wo), entries ordered (c, ki, kj).
 
     1x1 stride-1 convolutions reshape in place; larger kernels gather each
     kernel offset with one strided slice copy, which is far cheaper than a
     transposed fancy-index gather.
     """
-    n, c, h, w = x.shape
-    if k == 1 and stride == 1 and pad == 0:
-        return x.reshape(n, c, h * w), h, w
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
-    cols = np.empty((n, c, k * k, ho * wo), dtype=x.dtype)
+    n, c = xp.shape[:2]
+    if k == 1 and stride == 1:
+        return xp[:, :, r0:r1].reshape(n, c, (r1 - r0) * xp.shape[3])
+    rows = r1 - r0
+    cols = np.empty((n, c, k * k, rows * wo), dtype=xp.dtype)
     for ki in range(k):
+        top = ki + stride * r0
         for kj in range(k):
-            patch = xp[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride]
-            cols[:, :, ki * k + kj] = patch.reshape(n, c, ho * wo)
-    return cols.reshape(n, c * k * k, ho * wo), ho, wo
+            patch = xp[:, :, top : top + stride * rows : stride, kj : kj + stride * wo : stride]
+            cols[:, :, ki * k + kj] = patch.reshape(n, c, rows * wo)
+    return cols.reshape(n, c * k * k, rows * wo)
 
 
-def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
-    """Stride-1 convolution as one batched GEMM over all kernel offsets,
-    accumulating shifted output windows.  Avoids materializing the im2col
-    buffer, which dominates when in_ch * k * k is large."""
-    n, c, h, wd = x.shape
+def _conv_shift_gemm(xp: np.ndarray, w: np.ndarray, ho: int, wo: int) -> np.ndarray:
+    """Stride-1 convolution over the padded input ``xp`` without an im2col
+    buffer: per band of output rows, one GEMM of all kernel offsets against
+    the band's input rows (plus the kernel's halo), then the shifted output
+    windows are accumulated offset by offset."""
+    n, c, _, wp = xp.shape
     cout, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    hp, wp = xp.shape[2], xp.shape[3]
-    ho, wo = hp - kh + 1, wp - kw + 1
-    xf = xp.reshape(n, 1, c, hp * wp)
-    wm = np.ascontiguousarray(w.reshape(cout, c, kh * kw).transpose(2, 0, 1))
-    t = (wm @ xf).reshape(n, kh * kw, cout, hp, wp)
-    y = np.zeros((n, cout, ho, wo), dtype=x.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            y += t[:, ki * kw + kj, :, ki : ki + ho, kj : kj + wo]
+    wm = np.ascontiguousarray(w.reshape(cout, c, kh * kw).transpose(2, 0, 1)).reshape(kh * kw * cout, c)
+    y = np.zeros((n, cout, ho, wo), dtype=xp.dtype)
+    step = _band_rows(n * kh * kw * cout * wp * xp.itemsize, kh - 1, ho)
+    for r0 in range(0, ho, step):
+        rows = min(step, ho - r0)
+        band = xp[:, :, r0 : r0 + rows + kh - 1].reshape(n, c, (rows + kh - 1) * wp)
+        t = (wm @ band).reshape(n, kh * kw, cout, rows + kh - 1, wp)
+        yb = y[:, :, r0 : r0 + rows]
+        for ki in range(kh):
+            for kj in range(kw):
+                yb += t[:, ki * kw + kj, :, ki : ki + rows, kj : kj + wo]
     return y
 
 
@@ -121,11 +148,21 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
         raise ShapeMismatch(f"conv input has {cin} channels, weight expects {cin_w}")
     if pad is None:
         pad = kh // 2
+    xp = _pad(x, pad)
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
     if stride == 1 and kh > 1:
-        return _conv_shift_gemm(x, w, pad)
-    cols, ho, wo = _im2col(x, kh, stride, pad)
-    y = w.reshape(cout, -1) @ cols  # (n, cout, ho*wo) via broadcast
-    return y.reshape(n, cout, ho, wo)
+        return _conv_shift_gemm(xp, w, ho, wo)
+    wm = w.reshape(cout, -1)
+    if kh == 1 and stride == 1:
+        return (wm @ _im2col(xp, 1, 1, wo, 0, ho)).reshape(n, cout, ho, wo)
+    y = np.empty((n, cout, ho, wo), dtype=x.dtype)
+    yf = y.reshape(n, cout, ho * wo)
+    step = _band_rows(n * cin * kh * kw * wo * x.itemsize, 0, ho)
+    for r0 in range(0, ho, step):
+        r1 = min(r0 + step, ho)
+        np.matmul(wm, _im2col(xp, kh, stride, wo, r0, r1), out=yf[:, :, r0 * wo : r1 * wo])
+    return y
 
 
 def conv2d_vjp(
@@ -137,7 +174,7 @@ def conv2d_vjp(
     if pad is None:
         pad = kh // 2
     ho, wo = dy.shape[2], dy.shape[3]
-    cols, _, _ = _im2col(x, kh, stride, pad)  # (n, cin*k*k, ho*wo)
+    cols = _im2col(_pad(x, pad), kh, stride, wo, 0, ho)  # (n, cin*k*k, ho*wo)
     dy_mat = dy.reshape(n, cout, ho * wo)
 
     dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)

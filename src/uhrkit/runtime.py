@@ -75,6 +75,10 @@ class WeightMissing(KeyError):
     pass
 
 
+class WeightShapeMismatch(ShapeMismatch):
+    """A stored weight's shape differs from the one its node expects."""
+
+
 class NonFiniteGradient(ArithmeticError):
     pass
 
@@ -244,7 +248,7 @@ class _Exec:
                 raise WeightMissing(name)
             arr = store.arrays[name]
             if arr.shape != shape:
-                raise ShapeMismatch(f"weight {name} has shape {arr.shape}, node expects {shape}")
+                raise WeightShapeMismatch(f"weight {name} has shape {arr.shape}, node expects {shape}")
             self.params[name] = arr.astype(self.dtype, copy=False)
         self._bn_aff: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # conv -> its batchnorm when that is the conv's sole consumer; the

@@ -182,16 +182,27 @@ def test_gradcheck_bad_settings_exit_2(capsys, setting):
         (["summarize", "--preset", "uhrnet-w18-small", "--convention", "bn=maybe"], 2),
         (["summarize", "--preset", "uhrnet-w18-small", "--convention", "mac=two"], 2),
         (["summarize", "--preset", "uhrnet-w18-small", "--convention", "cls=1.5"], 2),
+        (["summarize", "--preset", "uhrnet-w18-small", "--convention", "unit=foo"], 2),
+        (["summarize", "--preset", "uhrnet-w18-small", "--convention", "mac=0"], 2),
+        (["summarize", "--preset", "uhrnet-w18-small", "--convention", "mac=-1"], 2),
+        (["summarize", "--preset", "uhrnet-w18-small", "--convention", "cls=-5"], 2),
         (["forward", "--preset", "uhrnet-w18-small-va", "--weights", "{other}",
           "--input-file", "{x}", "--out-file", "{y}"], 4),
+        (["forward", "--preset", "uhrnet-w18-small-va", "--weights", "{v1}",
+          "--input-file", "{x}", "--out-file", "{y}"], 4),
     ],
-    ids=["width-overflow", "width-0", "blocks-0", "bn-flag", "mac-int", "cls-int", "weights-other-preset"],
+    ids=["width-overflow", "width-0", "blocks-0", "bn-flag", "mac-int", "cls-int", "unit-name", "mac-0",
+         "mac-negative", "cls-negative", "weights-other-preset", "weights-other-shapes"],
 )
 def test_bad_input_maps_to_exit_code(tmp_path, capsys, argv, code):
-    files = {"other": tmp_path / "other.hrws", "x": tmp_path / "x.hrtf", "y": tmp_path / "y.hrtf"}
-    if "{other}" in argv:
-        assert main(["init", "--preset", "hrnetv2-w18-small-v2", "--out", str(files["other"])]) == 0
-        ops.write_tensor(files["x"], np.zeros((1, 3, 64, 64), dtype=np.float32))
+    files = {"x": tmp_path / "x.hrtf", "y": tmp_path / "y.hrtf"}
+    # "other" has tensor names the graph lacks; "v1" has the graph's names
+    # with other shapes
+    for key, preset in (("other", "hrnetv2-w18-small-v2"), ("v1", "hrnetv2-w18-small-v1")):
+        files[key] = tmp_path / f"{key}.hrws"
+        if f"{{{key}}}" in argv:
+            assert main(["init", "--preset", preset, "--out", str(files[key])]) == 0
+            ops.write_tensor(files["x"], np.zeros((1, 3, 64, 64), dtype=np.float32))
     argv = [a.format(**files) for a in argv]
     try:
         got = main(argv)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,45 @@ def test_conv_matches_naive_oracle():
         want = naive_conv2d(x, w, stride)
         assert np.max(np.abs(got - want)) < 1e-12
 
+    # Budgets of two output rows per band, so 7 output rows split 2+2+2+1.
+    for n, k, stride in [(1, 3, 1), (1, 3, 2), (1, 1, 2), (1, 1, 1), (2, 3, 1), (2, 3, 2)]:
+        cin, cout, wd = 3, 4, 6
+        h = 7 * stride
+        x = rng.normal(size=(n, cin, h, wd))
+        w = rng.normal(size=(cout, cin, k, k))
+        for dtype in (np.float64, np.float32):
+            xd, wdt = x.astype(dtype), w.astype(dtype)
+            if stride == 1 and k > 1:  # shift-GEMM: products over band + halo rows
+                budget = n * k * k * cout * (wd + k - 1) * (2 + k - 1) * xd.itemsize
+            else:  # im2col columns of the band's output rows
+                budget = n * cin * k * k * ((wd - 1) // stride + 1) * 2 * xd.itemsize
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ops, "BAND_BYTES", budget)
+                banded = ops.conv2d_fwd(xd, wdt, stride)
+                mp.setattr(ops, "BAND_BYTES", 2**62)
+                one_band = ops.conv2d_fwd(xd, wdt, stride)
+            assert banded.shape == (n, cout, 7, (wd - 1) // stride + 1)
+            if dtype is np.float64:
+                assert np.max(np.abs(banded - naive_conv2d(xd, wdt, stride))) < 1e-12
+            else:
+                assert banded.tobytes() == one_band.tobytes()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_temporaries_stay_within_band_budget(stride):
+    x = _rng(5).normal(size=(1, 64, 256, 512)).astype(np.float32)
+    w = _rng(6).normal(size=(64, 64, 3, 3)).astype(np.float32)
+    padded = 64 * 258 * 514 * x.itemsize
+    out = 64 * (256 // stride) * (512 // stride) * x.itemsize
+    tracemalloc.start()
+    try:
+        y = ops.conv2d_fwd(x, w, stride)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (1, 64, 256 // stride, 512 // stride)
+    assert peak <= padded + out + 2 * ops.BAND_BYTES
+
 
 def test_conv_shape_mismatch():
     x = np.zeros((1, 3, 4, 4), dtype=np.float32)
@@ -108,6 +148,13 @@ def test_conv_stride2_output_size():
     x = np.zeros((1, 2, 8, 8), dtype=np.float32)
     w = np.zeros((5, 2, 3, 3), dtype=np.float32)
     assert conv2d_fwd(x, w, stride=2).shape == (1, 5, 4, 4)
+
+
+@pytest.mark.parametrize("k, stride", [(1, 1), (3, 1), (1, 2), (3, 2)])
+def test_conv_empty_batch(k, stride):
+    x = np.zeros((0, 2, 8, 8), dtype=np.float32)
+    w = np.zeros((5, 2, k, k), dtype=np.float32)
+    assert conv2d_fwd(x, w, stride).shape == (0, 5, 8 // stride, 8 // stride)
 
 
 # ---------------------------------------------------------------------------

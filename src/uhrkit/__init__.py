@@ -15,7 +15,6 @@ from .analysis import (
     calibrate_convention,
     compare,
     count_flops,
-    count_params,
 )
 from .dsl import Direction, StageSequence, StructureError, format_structure, parse_structure
 from .graph import (

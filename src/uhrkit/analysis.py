@@ -18,6 +18,12 @@ Per-node counting rules:
 * relu: ``elements`` when included
 * bilinear upsample: ``7 * output elements`` when included (4 mul + 3 add)
 * channel pool: input elements;  add: elements;  concat: free
+
+Each rule is a base cost (the unit convention: one FLOP per MAC, every
+term on) times a per-kind scale the convention sets, so a convention's
+total is a linear combination of per-kind base totals.  Calibration walks
+each baseline graph once to get those totals, kept apart for body, head
+and classifier, and prices all candidate conventions from them.
 """
 
 from __future__ import annotations
@@ -171,23 +177,37 @@ def _group_key(item) -> tuple:
     return (order.get(g, 80), 0)
 
 
-def _node_flops(node: Node, conv: CostConvention) -> int:
+# per-element cost of the elementwise kinds under the unit convention;
+# chpool counts input elements, and its input has twice the channels
+_PER_ELEMENT = {"bn": 2, "relu": 1, "upsample": 7, "chpool": 2, "add": 1}
+
+
+def _base_flops(node: Node) -> int:
+    """A node's cost under the unit convention: one FLOP per MAC, every term on."""
     n, c, h, w = node.out_shape
-    elems = n * c * h * w
     if node.kind == "conv":
         a = node.attrs
-        return conv.mac_factor * a["k"] * a["k"] * a["in_ch"] * a["out_ch"] * h * w * n
-    if node.kind == "bn":
-        return 2 * elems if conv.include_bn else 0
-    if node.kind == "relu":
-        return elems if conv.include_relu else 0
-    if node.kind == "upsample":
-        return 7 * elems if conv.include_upsample else 0
-    if node.kind == "chpool":
-        return 2 * elems  # input elements: the input has twice the channels
-    if node.kind == "add":
-        return elems
-    return 0  # input, concat
+        return a["k"] * a["k"] * a["in_ch"] * a["out_ch"] * h * w * n
+    return _PER_ELEMENT.get(node.kind, 0) * n * c * h * w  # input, concat: free
+
+
+def _scale(role: str, kind: str, conv: CostConvention) -> int:
+    """What ``conv`` charges per unit of base cost on a ``kind`` row of
+    ``role``, where every role but head and classifier is priced as the body:
+    the one pricing rule, shared by :func:`count_flops` and calibration."""
+    if role in ("head", "classifier") and not conv.include_head:
+        return 0
+    if role == "classifier":
+        return conv.mac_factor * conv.classifier_classes
+    if kind == "conv":
+        return conv.mac_factor
+    if kind == "bn":
+        return conv.include_bn
+    if kind == "relu":
+        return conv.include_relu
+    if kind == "upsample":
+        return conv.include_upsample
+    return 1
 
 
 def _node_params(node: Node) -> tuple[int, int]:
@@ -211,7 +231,6 @@ def count_flops(graph: LayerGraph, conv: CostConvention) -> CostReport:
     for node in graph.nodes:
         if node.role == "head" and not conv.include_head:
             continue
-        flops = _node_flops(node, conv)
         params, trainable = _node_params(node)
         rows.append(
             CostRow(
@@ -219,7 +238,7 @@ def count_flops(graph: LayerGraph, conv: CostConvention) -> CostReport:
                 role=node.role,
                 kind=node.kind,
                 level=resolution_level(node.out_shape[2], in_h),
-                flops=flops,
+                flops=_scale(node.role, node.kind, conv) * _base_flops(node),
                 params=params,
                 params_trainable=trainable,
             )
@@ -228,56 +247,18 @@ def count_flops(graph: LayerGraph, conv: CostConvention) -> CostReport:
         n, _, _, _ = input_shape
         h0, w0 = in_h // 4, input_shape[3] // 4
         head_ch = graph.output_node().out_shape[1]
-        macs = conv.mac_factor * head_ch * conv.classifier_classes * h0 * w0 * n
         rows.append(
             CostRow(
                 id="classifier.conv",
                 role="classifier",
                 kind="conv",
                 level=0,
-                flops=macs,
+                flops=_scale("classifier", "conv", conv) * head_ch * h0 * w0 * n,
                 params=head_ch * conv.classifier_classes,
                 params_trainable=head_ch * conv.classifier_classes,
             )
         )
     return CostReport(convention=conv, input_shape=tuple(input_shape), rows=tuple(rows))
-
-
-def count_params(graph: LayerGraph) -> CostReport:
-    """Parameter counts alone; valid on unshaped graphs.
-
-    The returned report carries zero FLOPs everywhere (shapes may be
-    unknown) and no classifier row.
-    """
-    rows = []
-    for node in graph.nodes:
-        params, trainable = _node_params(node)
-        rows.append(
-            CostRow(
-                id=node.id,
-                role=node.role,
-                kind=node.kind,
-                level=0,
-                flops=0,
-                params=params,
-                params_trainable=trainable,
-            )
-        )
-    shape = graph.nodes[0].out_shape or (0, 0, 0, 0)
-    return CostReport(convention=CostConvention(), input_shape=tuple(shape), rows=tuple(rows))
-
-
-def _total_flops(graph: LayerGraph, conv: CostConvention) -> int:
-    total = 0
-    head_ch = graph.output_node().out_shape[1]
-    for node in graph.nodes:
-        if node.role == "head" and not conv.include_head:
-            continue
-        total += _node_flops(node, conv)
-    if conv.classifier_classes and conv.include_head:
-        n, _, h, w = graph.nodes[0].out_shape
-        total += conv.mac_factor * head_ch * conv.classifier_classes * (h // 4) * (w // 4) * n
-    return total
 
 
 @dataclass(frozen=True)
@@ -286,6 +267,21 @@ class CalibrationResult:
     residuals: dict[str, float]  # per-baseline signed relative error
     max_abs_residual: float
     within_tolerance: bool  # best residual <= 5%
+
+
+# the space calibration searches, in scoring order
+_CONVENTIONS = tuple(
+    CostConvention(*fields)
+    for fields in itertools.product(
+        (1, 2),  # mac_factor
+        (False, True),  # include_bn
+        (False, True),  # include_relu
+        (False, True),  # include_upsample
+        (True, False),  # include_head
+        (19, 0),  # classifier_classes
+        (2**30, 10**9),  # unit_divisor
+    )
+)
 
 
 def calibrate_convention(
@@ -308,21 +304,12 @@ def calibrate_convention(
         if not g.shaped:
             raise ShapesMissing("calibration baselines must be shaped graphs")
 
-    space = itertools.product(
-        (1, 2),  # mac_factor
-        (False, True),  # include_bn
-        (False, True),  # include_relu
-        (False, True),  # include_upsample
-        (True, False),  # include_head
-        (19, 0),  # classifier_classes
-        (2**30, 10**9),  # unit_divisor
-    )
+    priced = [(_label(g), _base_totals(g), target) for g, target in baselines]
     scored: list[tuple[float, CostConvention]] = []
-    for mac, bn, rl, up, head, cls, div in space:
-        conv = CostConvention(mac, bn, rl, up, head, cls, div)
+    for conv in _CONVENTIONS:
         worst = 0.0
-        for g, target in baselines:
-            got = _total_flops(g, conv) / div
+        for _, totals, target in priced:
+            got = _price(totals, conv) / conv.unit_divisor
             worst = max(worst, abs(got - target) / target)
         scored.append((worst, conv))
     best_err = min(err for err, _ in scored)
@@ -338,8 +325,8 @@ def calibrate_convention(
         ),
     )
     residuals = {
-        _label(g): (_total_flops(g, conv) / conv.unit_divisor - target) / target
-        for g, target in baselines
+        label: (_price(totals, conv) / conv.unit_divisor - target) / target
+        for label, totals, target in priced
     }
     return CalibrationResult(
         convention=conv,
@@ -347,6 +334,24 @@ def calibrate_convention(
         max_abs_residual=worst,
         within_tolerance=worst <= warn_threshold,
     )
+
+
+# prices every node at its base cost: every term on, MAC factor, classes and divisor 1
+_UNIT = CostConvention(1, True, True, True, True, classifier_classes=1, unit_divisor=1)
+
+
+def _base_totals(graph: LayerGraph) -> dict[tuple[str, str], int]:
+    """Unit-convention FLOPs of ``graph`` summed by (body, head or classifier; kind)."""
+    totals: dict[tuple[str, str], int] = {}
+    for r in count_flops(graph, _UNIT).rows:
+        key = (r.role if r.role in ("head", "classifier") else "body", r.kind)
+        totals[key] = totals.get(key, 0) + r.flops
+    return totals
+
+
+def _price(totals: dict[tuple[str, str], int], conv: CostConvention) -> int:
+    """``count_flops(graph, conv).total_flops`` from ``graph``'s base totals."""
+    return sum(_scale(role, kind, conv) * t for (role, kind), t in totals.items())
 
 
 def _label(graph: LayerGraph) -> str:

@@ -47,6 +47,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    if not text.isdigit() or int(text) >= 2**64:
+        raise argparse.ArgumentTypeError(f"expected a seed in [0, 2**64), got {text!r}")
+    return int(text)
+
+
 def _parse_convention(text: str) -> analysis.CostConvention | None:
     """``auto`` or a comma list like ``mac=1,bn=off,relu=off,up=off,head=on,cls=19,unit=gi``.
 
@@ -97,7 +103,6 @@ def _graph_from_args(args) -> object:
     cfg = NetworkConfig(
         base_width=args.width,
         blocks_per_branch=args.blocks,
-        small_variant=args.blocks == 2,
         fusion_kind="FusionA" if args.fusion == "a" else "FusionB",
     )
     return build_uhrnet(seq, cfg, label=args.structure)
@@ -281,14 +286,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("init", help="write deterministic initial weights")
     sp.add_argument("--preset", required=True, choices=presets.names())
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_init)
 
     sp = sub.add_parser("forward", help="run a forward pass over a tensor file")
     sp.add_argument("--preset", required=True, choices=presets.names())
-    sp.add_argument("--seed", type=int, default=0, help="weight seed when --weights is not given")
+    sp.add_argument("--seed", type=_seed, default=0, help="weight seed when --weights is not given")
     sp.add_argument("--weights", help="weight file; defaults to seeded initialization")
     sp.add_argument("--input-file", required=True)
     sp.add_argument("--out-file", required=True)
@@ -299,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sp.add_mutually_exclusive_group(required=True)
     g.add_argument("--micro", action="store_true", help="standard micro configuration (C=4, 64x64)")
     g.add_argument("--preset", choices=presets.names())
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--eps", type=float, default=1e-4)
     sp.add_argument("--tol", type=float, default=1e-5)
     sp.add_argument("--samples", type=int, default=20)

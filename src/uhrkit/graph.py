@@ -222,25 +222,26 @@ def _exchange(b: _Builder, prefix, xs, chs, stage_tag):
 # U-shaped family
 
 
+MAX_WIDTH = 8192  # widest stream build_uhrnet accepts
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Build-time knobs for the U-shaped family.
 
     ``base_width`` is the channel count of the 1/4 stream; stream ``l`` gets
-    ``base_width * 2**l``.  ``blocks_per_branch`` is 4 for full models and 2
-    for the small variants (other values build but are flagged
-    non-canonical).  ``stage3_modules_override`` rewrites the third stage's
-    module count, which is how the small variant derives from the full
-    layout.
+    ``base_width * 2**l``, and no stream may exceed :data:`MAX_WIDTH`.
+    ``blocks_per_branch`` is 4 for full models and 2 for the small variants
+    (other values build but are flagged non-canonical); the module counts
+    per stage come from the structure encoding alone.  ``small_variant`` is
+    accepted but not read: the block count alone sets the variant.
     """
 
     base_width: int
     blocks_per_branch: int = 2
     small_variant: bool = True
     fusion_kind: str = "FusionB"  # junction fusions: FusionB = pool+concat, FusionA = add
-    stage3_modules_override: int | None = None
     pool_mode: str = "avg"
-    max_width: int = 8192
 
     def __post_init__(self):
         if self.base_width < 1:
@@ -251,8 +252,6 @@ class NetworkConfig:
             raise ValueError(f"unknown fusion kind {self.fusion_kind!r}")
         if self.pool_mode not in ("avg", "max"):
             raise ValueError(f"unknown pool mode {self.pool_mode!r}")
-        if self.stage3_modules_override is not None and self.stage3_modules_override < 1:
-            raise ValueError("stage3_modules_override must be positive")
 
     @property
     def canonical(self) -> bool:
@@ -305,17 +304,12 @@ def stage_level_sets(seq: StageSequence) -> tuple[tuple[int, ...], ...]:
 
 def build_uhrnet(seq: StageSequence, cfg: NetworkConfig, label: str | None = None) -> LayerGraph:
     """Construct the layer graph for a stage sequence under ``cfg``."""
-    stages = list(seq.stages)
-    if cfg.stage3_modules_override is not None and len(stages) >= 3:
-        stages[2] = cfg.stage3_modules_override
-        seq = StageSequence(tuple(stages), seq.transitions, seq.terminal_two_branch)
+    stages = seq.stages
     levels = stage_level_sets(seq)
     max_level = max(max(s) for s in levels)
     width = {l: cfg.base_width * 2**l for l in range(max_level + 1)}
-    if max(width.values()) > cfg.max_width:
-        raise WidthOverflow(
-            f"stream width {max(width.values())} exceeds the configured cap {cfg.max_width}"
-        )
+    if max(width.values()) > MAX_WIDTH:
+        raise WidthOverflow(f"stream width {max(width.values())} exceeds the cap {MAX_WIDTH}")
 
     b = _Builder()
     x = b.emit("input", "input", (), "stem", ch=3)

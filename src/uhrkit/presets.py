@@ -49,10 +49,6 @@ class Preset:
     blocks: int
     fusion_kind: str = "FusionB"
 
-    @property
-    def reference_gflops(self) -> float | None:
-        return REFERENCE_GFLOPS.get(self.name)
-
 
 def _u(name, structure, width, blocks, fusion="FusionB"):
     return Preset(name, "uhrnet", structure, width, blocks, fusion)
@@ -103,7 +99,6 @@ def build(name: str) -> LayerGraph:
     cfg = NetworkConfig(
         base_width=p.width,
         blocks_per_branch=p.blocks,
-        small_variant=p.blocks == 2,
         fusion_kind=p.fusion_kind,
     )
     return build_uhrnet(seq, cfg, label=p.name)
@@ -117,5 +112,5 @@ MICRO_INPUT_SHAPE = (1, 3, 64, 64)
 
 def build_micro() -> LayerGraph:
     seq = parse_structure(_SMALL)
-    cfg = NetworkConfig(base_width=MICRO_WIDTH, blocks_per_branch=2, small_variant=True)
+    cfg = NetworkConfig(base_width=MICRO_WIDTH, blocks_per_branch=2)
     return build_uhrnet(seq, cfg, label="micro")

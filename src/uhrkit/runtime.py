@@ -132,13 +132,11 @@ class WeightStore:
 
     seed: int
     arrays: "OrderedDict[str, np.ndarray]"
-    init_scheme: str = "he-normal-fan-out/splitmix64"
 
     def astype(self, dtype) -> "WeightStore":
         return WeightStore(
             self.seed,
             OrderedDict((k, v.astype(dtype, copy=False)) for k, v in self.arrays.items()),
-            self.init_scheme,
         )
 
     def allclose(self, other: "WeightStore") -> bool:
@@ -190,6 +188,8 @@ def init_weights(graph: LayerGraph, seed: int = 0) -> WeightStore:
 
 
 def save_weights(store: WeightStore, path) -> None:
+    if not 0 <= store.seed < 2**64:
+        raise ValueError(f"seed {store.seed} does not fit the header's u64")
     body = bytearray()
     for name, arr in store.arrays.items():
         nb = name.encode("utf-8")

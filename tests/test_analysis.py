@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from uhrkit import presets
+from uhrkit import analysis, presets
 from uhrkit.analysis import (
     ConventionMismatch,
     CostConvention,
     calibrate_convention,
     compare,
     count_flops,
-    count_params,
 )
 from uhrkit.graph import LayerGraph, Node, infer_shapes
 
@@ -63,8 +62,7 @@ def test_half_resolution_quarters_flops():
 
 
 def test_params_formulas():
-    g = presets.build("uhrnet-w18-small")
-    rep = count_params(g)
+    rep = count_flops(shaped_preset("uhrnet-w18-small"), CostConvention())
     rows = {r.id: r for r in rep.rows}
     conv = rows["s2.m0.b0.blk0.c1.conv"]
     assert conv.params == 9 * 18 * 18 == 2916
@@ -122,6 +120,33 @@ def test_calibrated_convention_reproduces_whole_table(convention):
     for name, target in presets.REFERENCE_GFLOPS.items():
         got = count_flops(shaped_preset(name), convention).gflops
         assert abs(got - target) / target < 0.03, f"{name}: {got:.2f} vs {target}"
+
+
+@pytest.mark.parametrize(
+    "name", ["hrnetv2-w18-small-v2", "hrnetv2-w48", "uhrnet-w18-small", "uhrnet-w18-small-va"]
+)
+def test_calibration_prices_like_count_flops(name):
+    # both baselines, the paper's pair and one more U-HRNet variant
+    g = shaped_preset(name)
+    totals = analysis._base_totals(g)
+    assert len(set(analysis._CONVENTIONS)) == 128
+    for conv in analysis._CONVENTIONS:
+        assert analysis._price(totals, conv) == count_flops(g, conv).total_flops, conv
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [presets.BASELINE_GFLOPS, {"uhrnet-w18-small": 73.1}, {"hrnetv2-w18-small-v1": 31.1}],
+    ids=["baselines", "uhrnet-w18-small", "hrnetv2-w18-small-v1"],
+)
+def test_calibration_residuals_match_count_flops(targets):
+    result = calibrate_convention([(shaped_preset(n), t) for n, t in targets.items()])
+    conv = result.convention
+    assert list(result.residuals) == list(targets)
+    for name, target in targets.items():
+        got = count_flops(shaped_preset(name), conv).total_flops / conv.unit_divisor
+        assert result.residuals[name] == (got - target) / target
+    assert result.max_abs_residual == max(abs(r) for r in result.residuals.values())
 
 
 def test_calibration_requires_baseline():

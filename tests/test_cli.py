@@ -190,12 +190,18 @@ def test_gradcheck_bad_settings_exit_2(capsys, setting):
           "--input-file", "{x}", "--out-file", "{y}"], 4),
         (["forward", "--preset", "uhrnet-w18-small-va", "--weights", "{v1}",
           "--input-file", "{x}", "--out-file", "{y}"], 4),
+        (["init", "--preset", "uhrnet-w18-small-va", "--seed", "-1", "--out", "{w}"], 2),
+        (["init", "--preset", "uhrnet-w18-small-va", "--seed", str(2**64), "--out", "{w}"], 2),
+        (["forward", "--preset", "uhrnet-w18-small-va", "--seed", "-1",
+          "--input-file", "{x}", "--out-file", "{y}"], 2),
+        (["gradcheck", "--micro", "--seed", str(2**64)], 2),
     ],
     ids=["width-overflow", "width-0", "blocks-0", "bn-flag", "mac-int", "cls-int", "unit-name", "mac-0",
-         "mac-negative", "cls-negative", "weights-other-preset", "weights-other-shapes"],
+         "mac-negative", "cls-negative", "weights-other-preset", "weights-other-shapes", "init-seed-negative",
+         "init-seed-2^64", "forward-seed-negative", "gradcheck-seed-2^64"],
 )
 def test_bad_input_maps_to_exit_code(tmp_path, capsys, argv, code):
-    files = {"x": tmp_path / "x.hrtf", "y": tmp_path / "y.hrtf"}
+    files = {"x": tmp_path / "x.hrtf", "y": tmp_path / "y.hrtf", "w": tmp_path / "w.hrws"}
     # "other" has tensor names the graph lacks; "v1" has the graph's names
     # with other shapes
     for key, preset in (("other", "hrnetv2-w18-small-v2"), ("v1", "hrnetv2-w18-small-v1")):
@@ -211,3 +217,4 @@ def test_bad_input_maps_to_exit_code(tmp_path, capsys, argv, code):
     err = capsys.readouterr().err
     assert got == code
     assert "error:" in err and "Traceback" not in err
+    assert not files["y"].exists() and not files["w"].exists()

@@ -180,14 +180,6 @@ def test_odd_width_rejected_for_pooled_junctions():
         build_uhrnet(SMALL, NetworkConfig(base_width=5, blocks_per_branch=2))
 
 
-def test_stage3_override():
-    g = build_uhrnet(
-        parse_structure("1v1v5v2v2^1^1^1^1"),
-        NetworkConfig(base_width=18, blocks_per_branch=2, stage3_modules_override=2),
-    )
-    assert g.meta["modules"] == [1, 1, 2, 2, 2, 1, 1, 1, 1]
-
-
 def test_stem_has_two_stride2_convs():
     g = small_graph()
     stem_convs = [n for n in g.nodes if n.kind == "conv" and n.role == "stem"]

@@ -91,6 +91,20 @@ def test_weights_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_save_weights_rejects_seed_outside_u64(tmp_path, seed):
+    path = tmp_path / "w.hrws"
+    with pytest.raises(ValueError):
+        save_weights(init_weights(presets.build_micro(), seed), path)
+    assert not path.exists()
+
+
+def test_save_weights_keeps_largest_u64_seed(tmp_path):
+    path = tmp_path / "w.hrws"
+    save_weights(init_weights(presets.build_micro(), 2**64 - 1), path)
+    assert load_weights(path).seed == 2**64 - 1
+
+
 def test_weights_truncated_file(tmp_path):
     g = presets.build_micro()
     path = tmp_path / "w.hrws"

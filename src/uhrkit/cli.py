@@ -8,8 +8,10 @@ failure.  Every subcommand accepts ``--json`` for machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -87,7 +89,10 @@ def _parse_convention(text: str) -> analysis.CostConvention | None:
     return analysis.CostConvention(**kw)
 
 
+@functools.cache
 def _calibrated_convention() -> tuple[analysis.CostConvention, analysis.CalibrationResult]:
+    """The convention calibrated on the embedded baselines.  It depends only
+    on embedded constants, so it is computed once per process."""
     baselines = []
     for name, target in presets.BASELINE_GFLOPS.items():
         g = infer_shapes(presets.build(name), presets.COST_INPUT_SHAPE)
@@ -213,12 +218,25 @@ def cmd_forward(args) -> int:
     else:
         store = runtime.init_weights(graph, args.seed)
     x = ops.read_tensor(args.input_file)
+    start = time.perf_counter()
     out = runtime.forward(graph, store, x)
+    elapsed = time.perf_counter() - start
     ops.write_tensor(args.out_file, out)
+    finite = bool(np.isfinite(out.data).all())
+    if not finite:
+        sys.stderr.write("warning: the output holds NaN or infinite values\n")
     if args.json:
-        print(json.dumps({"out_shape": list(out.shape), "path": args.out_file}))
+        doc = {
+            "out_shape": list(out.shape),
+            "path": args.out_file,
+            "dtype": str(out.dtype),
+            "elapsed_s": round(elapsed, 3),
+            "finite": finite,
+        }
+        print(json.dumps(doc))
     else:
-        print(f"forward ok: output {'x'.join(map(str, out.shape))} -> {args.out_file}")
+        shape = "x".join(map(str, out.shape))
+        print(f"forward ok: output {shape} {out.dtype} in {elapsed:.2f}s -> {args.out_file}")
     return EXIT_OK
 
 

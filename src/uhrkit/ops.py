@@ -20,7 +20,22 @@ time.  Every output element is still the same dot product over input
 channels, with the kernel offsets added in the same order; the GEMMs
 only change shape, which for a batch of one left every output bit of
 the reference presets unchanged.  A batched GEMM of another shape may
-round differently in the last bit.
+round differently in the last bit, so the band split is part of the
+output's bytes.
+
+The shift-GEMM sums a band's kernel offsets in an accumulator laid out
+at the padded width, where each offset is one contiguous flat shift of
+the product rather than a strided 2-D window; the sum starts from zero
+as before, and each band's valid columns are copied out.  The product is
+released before the next band's GEMM, so the accumulator (one band of
+output rows at the padded width, a ``1/k**2`` share of the product) and
+one product stay within two bands' budget.
+
+``bilinear_up2_fwd`` and ``channel_pool2_fwd`` take an ``out=`` array,
+such as a channel slice of a concat's output, so the executor can place
+a producer's result where its concat needs it without a second copy.
+The upsampling gathers with ``np.take`` and works in place; its
+arithmetic is unchanged.
 
 Conventions:
 
@@ -96,20 +111,19 @@ def _im2col(xp: np.ndarray, k: int, stride: int, wo: int, r0: int, r1: int) -> n
     """Columns for output rows ``r0:r1`` of a conv over the padded input
     ``xp``, shaped (N, C*k*k, (r1-r0)*wo), entries ordered (c, ki, kj).
 
-    1x1 stride-1 convolutions reshape in place; larger kernels gather each
-    kernel offset with one strided slice copy, which is far cheaper than a
-    transposed fancy-index gather.
+    1x1 stride-1 convolutions reshape in place; larger kernels copy each
+    kernel offset's strided patch straight into its slot of the column
+    buffer, which is far cheaper than a transposed fancy-index gather.
     """
     n, c = xp.shape[:2]
     if k == 1 and stride == 1:
         return xp[:, :, r0:r1].reshape(n, c, (r1 - r0) * xp.shape[3])
     rows = r1 - r0
-    cols = np.empty((n, c, k * k, rows * wo), dtype=xp.dtype)
+    cols = np.empty((n, c, k * k, rows, wo), dtype=xp.dtype)
     for ki in range(k):
         top = ki + stride * r0
         for kj in range(k):
-            patch = xp[:, :, top : top + stride * rows : stride, kj : kj + stride * wo : stride]
-            cols[:, :, ki * k + kj] = patch.reshape(n, c, rows * wo)
+            cols[:, :, ki * k + kj] = xp[:, :, top : top + stride * rows : stride, kj : kj + stride * wo : stride]
     return cols.reshape(n, c * k * k, rows * wo)
 
 
@@ -117,20 +131,33 @@ def _conv_shift_gemm(xp: np.ndarray, w: np.ndarray, ho: int, wo: int) -> np.ndar
     """Stride-1 convolution over the padded input ``xp`` without an im2col
     buffer: per band of output rows, one GEMM of all kernel offsets against
     the band's input rows (plus the kernel's halo), then the shifted output
-    windows are accumulated offset by offset."""
+    windows are accumulated offset by offset.
+
+    The accumulator keeps the padded width ``wp``, so output ``(r, j)`` sits
+    at flat position ``r * wp + j`` and offset ``(ki, kj)`` reads the product
+    at ``+ ki * wp + kj``: every offset is one contiguous flat shift.  The
+    ``wo`` valid columns of each row are copied out per band.
+    """
     n, c, _, wp = xp.shape
     cout, _, kh, kw = w.shape
     wm = np.ascontiguousarray(w.reshape(cout, c, kh * kw).transpose(2, 0, 1)).reshape(kh * kw * cout, c)
-    y = np.zeros((n, cout, ho, wo), dtype=xp.dtype)
+    y = np.empty((n, cout, ho, wo), dtype=xp.dtype)
     step = _band_rows(n * kh * kw * cout * wp * xp.itemsize, kh - 1, ho)
+    acc = np.empty((n, cout, step * wp), dtype=xp.dtype)
     for r0 in range(0, ho, step):
         rows = min(step, ho - r0)
         band = xp[:, :, r0 : r0 + rows + kh - 1].reshape(n, c, (rows + kh - 1) * wp)
-        t = (wm @ band).reshape(n, kh * kw, cout, rows + kh - 1, wp)
-        yb = y[:, :, r0 : r0 + rows]
-        for ki in range(kh):
-            for kj in range(kw):
-                yb += t[:, ki * kw + kj, :, ki : ki + rows, kj : kj + wo]
+        t = (wm @ band).reshape(n, kh * kw, cout, (rows + kh - 1) * wp)
+        # the last row needs only its wo valid columns, which keeps the
+        # largest shift inside the product
+        m = (rows - 1) * wp + wo
+        a = acc[:, :, :m]
+        np.add(t[:, 0, :, :m], 0, out=a)  # 0 + t, as from a zeroed sum: -0.0 becomes +0.0
+        for k in range(1, kh * kw):
+            shift = (k // kw) * wp + k % kw
+            a += t[:, k, :, shift : shift + m]
+        del t
+        y[:, :, r0 : r0 + rows] = acc[:, :, : rows * wp].reshape(n, cout, rows, wp)[..., :wo]
     return y
 
 
@@ -273,14 +300,27 @@ def _lerp_axis(n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i0, i1, src - i0
 
 
-def bilinear_up2_fwd(x: np.ndarray) -> np.ndarray:
+def bilinear_up2_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``rows = x[iy0] * (1 - wy) + x[iy1] * wy``, then the same step along
+    the columns of ``rows``; the sum is written into ``out`` when given."""
     n, c, h, w = x.shape
     iy0, iy1, wy = _lerp_axis(h)
     ix0, ix1, wx = _lerp_axis(w)
     wy = wy.astype(x.dtype)[None, None, :, None]
     wx = wx.astype(x.dtype)[None, None, None, :]
-    rows = x[:, :, iy0, :] * (1 - wy) + x[:, :, iy1, :] * wy
-    return rows[:, :, :, ix0] * (1 - wx) + rows[:, :, :, ix1] * wx
+    # the indices are in range, and "clip" lets take write into a strided out
+    rows = np.take(x, iy0, axis=2, mode="clip")
+    rows *= 1 - wy
+    t = np.take(x, iy1, axis=2, mode="clip")
+    t *= wy
+    rows += t
+    del t
+    y = np.take(rows, ix0, axis=3, out=out, mode="clip")
+    y *= 1 - wx
+    t = np.take(rows, ix1, axis=3, mode="clip")
+    t *= wx
+    y += t
+    return y
 
 
 def _scatter_axis(dy: np.ndarray, i0, i1, w, n_in: int, axis: int) -> np.ndarray:
@@ -307,14 +347,18 @@ def bilinear_up2_vjp(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 # channel pooling, kernel 2 stride 2
 
 
-def channel_pool2_fwd(x: np.ndarray, mode: str = "avg") -> np.ndarray:
+def channel_pool2_fwd(x: np.ndarray, mode: str = "avg", out: np.ndarray | None = None) -> np.ndarray:
+    """Pairs of adjacent channels averaged or maxed; written into ``out``
+    when given."""
     if x.shape[1] % 2:
         raise OddChannelCount(f"channel pooling by 2 needs an even channel count, got {x.shape[1]}")
     a, b = x[:, ::2], x[:, 1::2]
     if mode == "avg":
-        return (a + b) / 2
+        y = np.add(a, b, out=out)
+        y /= 2
+        return y
     if mode == "max":
-        return np.maximum(a, b)
+        return np.maximum(a, b, out=out)
     raise ValueError(f"unknown channel pool mode {mode!r}")
 
 
@@ -334,12 +378,24 @@ def channel_pool2_vjp(x: np.ndarray, dy: np.ndarray, mode: str = "avg") -> np.nd
 # concat / add
 
 
-def concat_fwd(xs: list[np.ndarray]) -> np.ndarray:
+def concat_fwd(xs: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Channel concat, written into ``out`` when given.  An input that
+    already lies in ``out`` (placed in its channel slice by its producer)
+    is not copied again."""
     base = xs[0].shape
     for x in xs[1:]:
         if x.shape[0] != base[0] or x.shape[2:] != base[2:]:
             raise ShapeMismatch("channel concat needs matching N, H, W")
-    return np.concatenate(xs, axis=1)
+    if out is None:
+        return np.concatenate(xs, axis=1)
+    if out.shape != (base[0], sum(x.shape[1] for x in xs), *base[2:]):
+        raise ShapeMismatch(f"channel concat of {len(xs)} inputs does not fit an output of shape {out.shape}")
+    off = 0
+    for x in xs:
+        if not np.may_share_memory(x, out):
+            out[:, off : off + x.shape[1]] = x
+        off += x.shape[1]
+    return out
 
 
 def concat_vjp(xs: list[np.ndarray], dy: np.ndarray) -> list[np.ndarray]:

@@ -236,8 +236,9 @@ def load_weights(path) -> WeightStore:
 
 
 class _Exec:
-    """Per-run caches: dtype-cast parameters, pre-reshaped conv weights and
-    pre-folded batchnorm affines."""
+    """Per-run caches: dtype-cast parameters, pre-folded batchnorm affines,
+    and the walk's plan of fused conv+BN pairs and of producers that write
+    straight into their concat's output."""
 
     def __init__(self, graph: LayerGraph, store: WeightStore, dtype):
         self.graph = graph
@@ -258,11 +259,21 @@ class _Exec:
             for src in node.inputs:
                 consumers.setdefault(src, []).append(node)
         self.conv_bn: dict[str, Node] = {}
+        # upsample/chpool -> (its concat, channel offset) when that concat is
+        # the sole consumer; the walk writes such a producer into its slice
+        # of the concat's output instead of copying it there afterwards
+        self.placed: dict[str, tuple[Node, int]] = {}
         for node in graph.nodes:
-            if node.kind == "conv":
-                cons = consumers.get(node.id, [])
-                if len(cons) == 1 and cons[0].kind == "bn":
-                    self.conv_bn[node.id] = cons[0]
+            cons = consumers.get(node.id, [])
+            if node.kind == "conv" and len(cons) == 1 and cons[0].kind == "bn":
+                self.conv_bn[node.id] = cons[0]
+            elif node.kind == "concat" and node.out_shape is not None:
+                off = 0
+                for src in node.inputs:
+                    prod = graph.node(src)
+                    if prod.kind in ("upsample", "chpool") and len(consumers[src]) == 1:
+                        self.placed[src] = (node, off)
+                    off += prod.out_shape[1]
 
     def bn_aff(self, nid: str) -> tuple[np.ndarray, np.ndarray]:
         ac = self._bn_aff.get(nid)
@@ -300,6 +311,12 @@ class _Exec:
         stays in ``acts`` for the reverse sweep.  The graph input and output
         are never overwritten or dropped.
 
+        Also unless ``keep`` is set, an upsample or channel pool whose sole
+        consumer is a concat writes its output straight into its channel
+        slice of the concat's output (allocated when the first such
+        producer runs), and the concat copies in only its other inputs,
+        whether they come from ``acts`` or from ``base``.
+
         Returns the graph output together with a per-lane bound on the loss
         error a finite difference suffers from ReLU state flips: for every
         unit whose sign differs from the baseline in ``kink_ctx``, the
@@ -324,6 +341,20 @@ class _Exec:
 
         kink_err = np.zeros(b)
         fused: set[str] = set()
+        # concat id -> its output, allocated by the first placed producer
+        slots: dict[str, np.ndarray] = {}
+
+        def slot(node: Node, like: np.ndarray) -> np.ndarray | None:
+            """The producer's slice of its concat's output, or None when it
+            is not placed."""
+            plan = None if keep else self.placed.get(node.id)
+            if plan is None:
+                return None
+            cat, off = plan
+            if cat.id not in slots:
+                slots[cat.id] = np.empty((b, *cat.out_shape[1:]), dtype=like.dtype)
+            return slots[cat.id][:, off : off + node.out_shape[1]]
+
         for node in nodes:
             if node.id in fused:
                 continue
@@ -359,11 +390,11 @@ class _Exec:
                         kink_err += np.abs(ins[0] * sens * flipped).sum(axis=(1, 2, 3))
                 y = np.maximum(ins[0], 0, out=ins[0] if own0 else None)
             elif kind == "upsample":
-                y = ops.bilinear_up2_fwd(ins[0])
+                y = ops.bilinear_up2_fwd(ins[0], out=slot(node, ins[0]))
             elif kind == "chpool":
-                y = ops.channel_pool2_fwd(ins[0], node.attrs.get("mode", "avg"))
+                y = ops.channel_pool2_fwd(ins[0], node.attrs.get("mode", "avg"), out=slot(node, ins[0]))
             elif kind == "concat":
-                y = ops.concat_fwd(ins)
+                y = ops.concat_fwd(ins, out=slots.pop(node.id, None))
             elif kind == "add":
                 if own0 and ins[0].shape == ins[1].shape:
                     y = ins[0]
@@ -554,7 +585,7 @@ class GradCheckReport:
     @property
     def fully_sampled(self) -> bool:
         """Every parameter had at least min(sample_count, size) coordinates
-        drawn (kink-straddling intervals among them are reported, not
+        examined (kink-straddling intervals among them are reported, not
         silently dropped)."""
         return all(p.sampled >= min(self.sample_count, p.size) for p in self.params)
 
@@ -758,7 +789,9 @@ def _check_entry(st: _GcState, entry: tuple[str, str, str, tuple[int, ...]]) -> 
     return ParamCheck(
         name=name,
         size=size,
-        sampled=pos,
+        # every coordinate examined was compared or skipped; the look-ahead
+        # left over in the last chunk is not counted
+        sampled=checked + skipped,
         checked=checked,
         skipped_kinks=skipped,
         max_rel_err=max_rel,

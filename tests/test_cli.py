@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from uhrkit import ops
+from uhrkit import analysis, cli, ops
 from uhrkit.cli import main
 from uhrkit.ops import Tensor
 from uhrkit.runtime import load_weights
@@ -46,6 +46,17 @@ def test_summarize_preset_auto(capsys):
     doc = json.loads(out)
     assert abs(doc["total"]["gflops"] - 73.1) / 73.1 < 0.03
     assert doc["calibration"]["within_tolerance"] is True
+
+
+def test_auto_convention_calibrates_once_per_process(capsys, monkeypatch):
+    calls = []
+    calibrate = analysis.calibrate_convention
+    monkeypatch.setattr(analysis, "calibrate_convention", lambda b: calls.append(1) or calibrate(b))
+    cli._calibrated_convention.cache_clear()
+    outs = [run(capsys, "summarize", "--preset", "uhrnet-w18-small", "--json")[1] for _ in range(2)]
+    assert run(capsys, "compare", "--a", "uhrnet-w18-small", "--b", "hrnetv2-w18-small-v2")[0] == 0
+    assert len(calls) == 1
+    assert outs[0] == outs[1]
 
 
 def test_summarize_structure(capsys):
@@ -125,6 +136,24 @@ def test_init_forward_export_flow(tmp_path, capsys):
     assert code == 0
     doc = json.loads(gfile.read_text())
     assert doc["output_id"] == "head.conv.relu"
+
+
+def test_forward_json_reports_dtype_time_and_finiteness(tmp_path, capsys):
+    x = np.random.default_rng(1).normal(size=(1, 3, 64, 64))
+    for name, data, finite in (("f64", x, True), ("nan", np.where(x > 2, np.nan, x).astype(np.float32), False)):
+        xfile, yfile = tmp_path / f"{name}.hrtf", tmp_path / f"{name}.out.hrtf"
+        ops.write_tensor(xfile, data)
+        code, out, err = run(
+            capsys,
+            "forward", "--preset", "uhrnet-w18-small-va", "--input-file", str(xfile),
+            "--out-file", str(yfile), "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dtype"] == str(data.dtype) == str(ops.read_tensor(yfile).dtype)
+        assert doc["finite"] is finite is bool(np.isfinite(ops.read_tensor(yfile).data).all())
+        assert isinstance(doc["elapsed_s"], float) and doc["elapsed_s"] >= 0
+        assert ("warning:" in err) is not finite
 
 
 def test_forward_missing_weights_exit_4(tmp_path, capsys):

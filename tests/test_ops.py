@@ -137,6 +137,44 @@ def test_conv_temporaries_stay_within_band_budget(stride):
     assert peak <= padded + out + 2 * ops.BAND_BYTES
 
 
+def _shift_oracle(x, w):
+    """Stride-1 'same' conv the pre-flat-shift way: one full-map GEMM of all
+    kernel offsets, then each offset's window added into a zeroed output in
+    row-major offset order."""
+    n, c, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (k // 2, k // 2), (k // 2, k // 2)))
+    wm = np.ascontiguousarray(w.reshape(cout, c, k * k).transpose(2, 0, 1)).reshape(k * k * cout, c)
+    t = (wm @ xp.reshape(n, c, -1)).reshape(n, k * k, cout, *xp.shape[2:])
+    y = np.zeros((n, cout, h, wd), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            y += t[:, ki * k + kj, :, ki : ki + h, kj : kj + wd]
+    return y
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_conv_flat_shift_is_bit_identical_to_window_adds(n):
+    rng = _rng(11)
+    cin, cout, h, wd = 3, 4, 7, 6
+    for dtype in (np.float32, np.float64):
+        x = rng.normal(size=(n, cin, h, wd)).astype(dtype)
+        w = rng.normal(size=(cout, cin, 3, 3)).astype(dtype)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "BAND_BYTES", 2**62)
+            one_band = ops.conv2d_fwd(x, w)
+            # the offset sum starts from zero: a zero input gives +0.0 throughout
+            zeros = ops.conv2d_fwd(np.zeros_like(x), -np.abs(w))
+            mp.setattr(ops, "BAND_BYTES", n * 9 * cout * (wd + 2) * 3 * x.itemsize)  # one row per band
+            banded = ops.conv2d_fwd(x, w)
+        assert one_band.tobytes() == _shift_oracle(x, w).tobytes()
+        assert not np.signbit(zeros).any()
+        if dtype is np.float32:
+            assert banded.tobytes() == one_band.tobytes()
+        else:
+            assert np.max(np.abs(banded - naive_conv2d(x, w))) < 1e-12
+
+
 def test_conv_shape_mismatch():
     x = np.zeros((1, 3, 4, 4), dtype=np.float32)
     w = np.zeros((2, 4, 3, 3), dtype=np.float32)
@@ -218,6 +256,46 @@ def test_upsample_single_pixel():
     assert np.allclose(bilinear_up2_fwd(x), np.full((1, 1, 2, 2), 2.5))
 
 
+def _up2_formula(x):
+    """Corner-aligned upsampling by fancy indexing: rows first, then columns."""
+    iy0, iy1, wy = ops._lerp_axis(x.shape[2])
+    ix0, ix1, wx = ops._lerp_axis(x.shape[3])
+    wy = wy.astype(x.dtype)[None, None, :, None]
+    wx = wx.astype(x.dtype)[None, None, None, :]
+    rows = x[:, :, iy0, :] * (1 - wy) + x[:, :, iy1, :] * wy
+    return rows[:, :, :, ix0] * (1 - wx) + rows[:, :, :, ix1] * wx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsample_matches_formula_with_and_without_out(dtype):
+    rng = _rng(12)
+    # odd, even and single-pixel axes; batch 2 makes the channel slice strided
+    for shape in [(2, 3, 5, 7), (2, 2, 4, 6), (2, 3, 1, 5), (2, 2, 6, 1), (1, 1, 1, 1)]:
+        x = rng.normal(size=shape).astype(dtype)
+        want = _up2_formula(x).tobytes()
+        assert bilinear_up2_fwd(x).tobytes() == want
+        n, c, h, w = shape
+        buf = np.full((n, c + 3, 2 * h, 2 * w), np.nan, dtype=dtype)
+        got = bilinear_up2_fwd(x, out=buf[:, 1 : 1 + c])
+        assert np.shares_memory(got, buf)
+        assert buf[:, 1 : 1 + c].tobytes() == want
+        assert np.isnan(buf[:, 0]).all() and np.isnan(buf[:, 1 + c :]).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["avg", "max"])
+def test_channel_pool_matches_formula_with_and_without_out(mode, dtype):
+    x = _rng(13).normal(size=(2, 6, 3, 5)).astype(dtype)
+    a, b = x[:, ::2], x[:, 1::2]
+    want = ((a + b) / 2 if mode == "avg" else np.maximum(a, b)).tobytes()
+    assert channel_pool2_fwd(x, mode).tobytes() == want
+    buf = np.full((2, 7, 3, 5), np.nan, dtype=dtype)
+    got = channel_pool2_fwd(x, mode, out=buf[:, 2:5])
+    assert np.shares_memory(got, buf)
+    assert buf[:, 2:5].tobytes() == want
+    assert np.isnan(buf[:, :2]).all() and np.isnan(buf[:, 5:]).all()
+
+
 def test_channel_pool_definition():
     x = np.arange(4, dtype=np.float64).reshape(1, 4, 1, 1)
     y = channel_pool2_fwd(x, "avg")
@@ -246,6 +324,18 @@ def test_concat_and_add():
     assert np.array_equal(add_fwd(a, np.zeros_like(a)), a)
     with pytest.raises(ShapeMismatch):
         add_fwd(a, b)
+
+
+def test_concat_into_out_with_a_placed_input():
+    a = _rng(5).normal(size=(2, 4, 2, 3))
+    b = _rng(6).normal(size=(2, 5, 2, 3))
+    out = np.empty((2, 9, 2, 3))
+    placed = out[:, 4:]  # written by its producer before the concat runs
+    placed[...] = b
+    assert concat_fwd([a, placed], out=out) is out
+    assert out.tobytes() == np.concatenate([a, b], axis=1).tobytes()
+    with pytest.raises(ShapeMismatch):
+        concat_fwd([a, b], out=np.empty((2, 8, 2, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,46 @@ def test_forward_reuse_matches_kept_activations(graph, dtype):
     assert x.tobytes() == x_before.tobytes()
 
 
+def test_micro_graph_places_producers_into_concats():
+    # upsamples and channel pools whose sole consumer is a concat are written
+    # straight into its output, so the reuse test above covers placement
+    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
+    ex = runtime._Exec(g, init_weights(g, 0), np.float32)
+    kinds = [g.node(src).kind for src in ex.placed]
+    assert (kinds.count("upsample"), kinds.count("chpool"), len(kinds)) == (4, 7, 11)
+    for src, (cat, off) in ex.placed.items():
+        assert [n.id for n in g.nodes if src in n.inputs] == [cat.id]
+        assert cat.kind == "concat"
+        assert off == sum(g.node(i).out_shape[1] for i in cat.inputs[: cat.inputs.index(src)])
+
+
+def test_replay_places_producer_while_concat_reads_base(monkeypatch):
+    # a replay that holds a placed producer but reads the concat's other
+    # inputs from the baseline activations gives the bytes of a kept walk
+    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
+    store = init_weights(g, 3).astype(np.float64)
+    ex = runtime._Exec(g, store, np.float64)
+    _, acts = run_forward(g, store, verification_input(g.nodes[0].out_shape, 3).data.astype(np.float64), True)
+    for src, (cat, _) in ex.placed.items():
+        owner = g.node(src).inputs[0]
+        sub = runtime._descendants(g, owner)
+        if any(i not in {n.id for n in sub} for i in cat.inputs):
+            break
+    else:
+        pytest.fail("no placed producer whose concat reads another input from base")
+    placed = []
+    pool, up = ops.channel_pool2_fwd, ops.bilinear_up2_fwd
+    monkeypatch.setattr(ops, "channel_pool2_fwd", lambda *a, out=None: placed.append(out is not None) or pool(*a, out=out))
+    monkeypatch.setattr(ops, "bilinear_up2_fwd", lambda x, out=None: placed.append(out is not None) or up(x, out=out))
+    lanes = np.repeat(acts[owner], 3, axis=0)
+    lanes += np.random.default_rng(0).normal(scale=1e-3, size=lanes.shape)
+    got, _ = ex.walk(sub, {owner: lanes.copy()}, base=acts)
+    assert any(placed)
+    want, _ = ex.walk(sub, {owner: lanes.copy()}, keep=True, base=acts)
+    assert got.shape[0] == 3
+    assert got.tobytes() == want.tobytes()
+
+
 def test_forward_zero_convs_give_zero_output():
     g = tiny_graph()
     store = init_weights(g, 0)
@@ -296,6 +336,8 @@ def test_gradcheck_report_fields():
     assert doc["nonfinite"] == 0
     assert all(p["nonfinite"] == 0 for p in doc["params"])
     assert doc["unchecked"] == rep.unchecked == [p.name for p in rep.params if p.checked == 0]
+    # sampled counts the coordinates examined, each compared or skipped
+    assert all(p.sampled == p.checked + p.skipped_kinks for p in rep.params)
     assert "stem.conv1.conv.w" in rep.unchecked  # every interval drawn straddles a kink
     text = rep.to_text()
     assert "PASS" in text or "FAIL" in text

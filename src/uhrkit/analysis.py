@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import LayerGraph, Node, resolution_level
 
@@ -72,8 +73,9 @@ class CostConvention:
         return ", ".join(bits)
 
 
-@dataclass(frozen=True)
-class CostRow:
+class CostRow(NamedTuple):
+    """One node's cost; a tuple, since a report builds one per node."""
+
     id: str
     role: str
     kind: str
@@ -114,13 +116,20 @@ class CostReport:
     def by_group(self) -> dict[str, tuple[int, int]]:
         """(flops, params) keyed by role group: stem, stage1.., transition,
         fusion, head, classifier."""
-        out: dict[str, list[int]] = {}
+        return self._rollup()[0]
+
+    def _rollup(self) -> tuple[dict[str, tuple[int, int]], tuple[int, int, int]]:
+        """:meth:`by_group` and the three totals (flops, params, trainable
+        params) in one pass over the rows."""
+        acc: dict[str, list[int]] = {}
+        trainable = 0
         for r in self.rows:
-            g = role_group(r.role)
-            acc = out.setdefault(g, [0, 0])
-            acc[0] += r.flops
-            acc[1] += r.params
-        return {k: (v[0], v[1]) for k, v in out.items()}
+            a = acc.setdefault(role_group(r.role), [0, 0])
+            a[0] += r.flops
+            a[1] += r.params
+            trainable += r.params_trainable
+        groups = {g: (a[0], a[1]) for g, a in acc.items()}
+        return groups, (sum(a[0] for a in acc.values()), sum(a[1] for a in acc.values()), trainable)
 
     def by_level(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -135,7 +144,7 @@ class CostReport:
         return sum(f for l, f in self.by_level().items() if l >= min_level) / total
 
     def to_json_dict(self) -> dict:
-        groups = self.by_group()
+        groups, (flops, params, trainable) = self._rollup()
         return {
             "convention": vars(self.convention) | {},
             "input_shape": list(self.input_shape),
@@ -143,25 +152,24 @@ class CostReport:
                 {"role": g, "flops": f, "params": p} for g, (f, p) in sorted(groups.items(), key=_group_key)
             ],
             "total": {
-                "flops": self.total_flops,
-                "gflops": round(self.gflops, 3),
-                "params": self.total_params,
-                "params_trainable": self.total_params_trainable,
+                "flops": flops,
+                "gflops": round(flops / self.convention.unit_divisor, 3),
+                "params": params,
+                "params_trainable": trainable,
             },
         }
 
     def to_text(self) -> str:
-        groups = self.by_group()
+        groups, (flops, params, _) = self._rollup()
+        div = self.convention.unit_divisor
         width = max(len(g) for g in groups) + 2
         lines = [
             f"input {'x'.join(str(d) for d in self.input_shape)}   convention: {self.convention.describe()}",
             f"{'role':<{width}}{'GFLOPs':>12}{'params':>14}",
         ]
         for g, (f, p) in sorted(groups.items(), key=_group_key):
-            lines.append(f"{g:<{width}}{f / self.convention.unit_divisor:>12.2f}{p:>14,}")
-        lines.append(
-            f"{'total':<{width}}{self.gflops:>12.1f}{self.total_params:>14,}"
-        )
+            lines.append(f"{g:<{width}}{f / div:>12.2f}{p:>14,}")
+        lines.append(f"{'total':<{width}}{flops / div:>12.1f}{params:>14,}")
         return "\n".join(lines)
 
 
@@ -227,22 +235,20 @@ def count_flops(graph: LayerGraph, conv: CostConvention) -> CostReport:
         raise ShapesMissing("count_flops needs a shaped graph; call infer_shapes first")
     input_shape = graph.nodes[0].out_shape
     in_h = input_shape[2]
+    scales: dict[tuple[str, str], int] = {}  # few distinct keys, many nodes
+    levels: dict[int, int] = {}
     rows = []
     for node in graph.nodes:
-        if node.role == "head" and not conv.include_head:
+        role, kind, h = node.role, node.kind, node.out_shape[2]
+        if role == "head" and not conv.include_head:
             continue
-        params, trainable = _node_params(node)
-        rows.append(
-            CostRow(
-                id=node.id,
-                role=node.role,
-                kind=node.kind,
-                level=resolution_level(node.out_shape[2], in_h),
-                flops=_scale(node.role, node.kind, conv) * _base_flops(node),
-                params=params,
-                params_trainable=trainable,
-            )
-        )
+        scale = scales.get((role, kind))
+        if scale is None:
+            scale = scales[role, kind] = _scale(role, kind, conv)
+        level = levels.get(h)
+        if level is None:
+            level = levels[h] = resolution_level(h, in_h)
+        rows.append(CostRow(node.id, role, kind, level, scale * _base_flops(node), *_node_params(node)))
     if conv.classifier_classes and conv.include_head:
         n, _, _, _ = input_shape
         h0, w0 = in_h // 4, input_shape[3] // 4

@@ -218,6 +218,8 @@ def cmd_forward(args) -> int:
     else:
         store = runtime.init_weights(graph, args.seed)
     x = ops.read_tensor(args.input_file)
+    limiter = runtime._blas_limiter()  # output bytes depend on the BLAS thread count
+    threads = runtime._blas_thread_count(limiter)
     start = time.perf_counter()
     out = runtime.forward(graph, store, x)
     elapsed = time.perf_counter() - start
@@ -232,11 +234,14 @@ def cmd_forward(args) -> int:
             "dtype": str(out.dtype),
             "elapsed_s": round(elapsed, 3),
             "finite": finite,
+            "blas_limiter": limiter,
+            "blas_threads": threads,
         }
         print(json.dumps(doc))
     else:
         shape = "x".join(map(str, out.shape))
-        print(f"forward ok: output {shape} {out.dtype} in {elapsed:.2f}s -> {args.out_file}")
+        blas = f"BLAS limiter {limiter}, threads {threads or 'unknown'}"
+        print(f"forward ok: output {shape} {out.dtype} in {elapsed:.2f}s ({blas}) -> {args.out_file}")
     return EXIT_OK
 
 
@@ -273,7 +278,9 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser holds no per-call state, so one serves the whole process."""
     p = argparse.ArgumentParser(prog="uhrkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -339,8 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except dsl.StructureError as exc:

@@ -28,7 +28,7 @@ convolution carries a bias: a BN follows every conv.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -117,15 +117,13 @@ def _check_graph(nodes: list[Node], output_id: str) -> None:
 
 
 class _Builder:
+    """Nodes in emission order; :func:`_check_graph` rejects duplicate ids."""
+
     def __init__(self):
         self.nodes: list[Node] = []
-        self._ids: set[str] = set()
 
     def emit(self, nid: str, kind: str, inputs: tuple[str, ...], role: str, **attrs) -> str:
-        if nid in self._ids:
-            raise GraphError(f"duplicate node id {nid!r}")
-        self._ids.add(nid)
-        self.nodes.append(Node(id=nid, kind=kind, inputs=inputs, role=role, attrs=attrs))
+        self.nodes.append(Node(nid, kind, inputs, role, attrs))
         return nid
 
     def conv(self, nid, x, cin, cout, k, stride, role):
@@ -614,7 +612,7 @@ def infer_shapes(graph: LayerGraph, input_shape: tuple[int, int, int, int]) -> L
         else:
             raise GraphError(f"unknown node kind {node.kind!r}")
         shapes[node.id] = out
-        new_nodes.append(replace(node, out_shape=out))
+        new_nodes.append(Node(node.id, node.kind, node.inputs, node.role, node.attrs, out))
     return LayerGraph(tuple(new_nodes), graph.output_id, graph.meta)
 
 

@@ -6,10 +6,11 @@ from uhrkit.analysis import (
     ConventionMismatch,
     CostConvention,
     calibrate_convention,
+    CostRow,
     compare,
     count_flops,
 )
-from uhrkit.graph import LayerGraph, Node, infer_shapes
+from uhrkit.graph import LayerGraph, Node, infer_shapes, resolution_level
 
 from conftest import shaped_preset
 
@@ -198,3 +199,63 @@ def test_gflops_display_one_decimal(convention):
     rep = count_flops(shaped_preset("uhrnet-w18-small"), convention)
     text = rep.to_text()
     assert f"{rep.gflops:.1f}" in text
+
+
+# the calibrated convention, the same with the head off, and every term on
+ROW_CONVENTIONS = (
+    CostConvention(),
+    CostConvention(include_head=False),
+    CostConvention(2, True, True, True, True, classifier_classes=0, unit_divisor=10**9),
+)
+
+
+@pytest.mark.parametrize("conv", ROW_CONVENTIONS, ids=["calibrated", "head-off", "all-on"])
+def test_count_flops_rows_price_each_node(conv):
+    for name in presets.names():
+        g = shaped_preset(name)
+        in_h = g.nodes[0].out_shape[2]
+        want = [
+            CostRow(
+                n.id,
+                n.role,
+                n.kind,
+                resolution_level(n.out_shape[2], in_h),
+                analysis._scale(n.role, n.kind, conv) * analysis._base_flops(n),
+                *analysis._node_params(n),
+            )
+            for n in g.nodes
+            if conv.include_head or n.role != "head"
+        ]
+        rows = count_flops(g, conv).rows
+        assert list(rows[: len(want)]) == want, name
+        extra = [(r.id, r.role, r.kind) for r in rows[len(want) :]]
+        classifier = conv.include_head and conv.classifier_classes
+        assert extra == ([("classifier.conv", "classifier", "conv")] if classifier else []), name
+
+
+@pytest.mark.parametrize("conv", ROW_CONVENTIONS, ids=["calibrated", "head-off", "all-on"])
+def test_report_rollups_agree_with_rows(conv):
+    for name in presets.names():
+        rep = count_flops(shaped_preset(name), conv)
+        groups: dict[str, list[int]] = {}
+        for r in rep.rows:
+            acc = groups.setdefault(r.role.split(".")[0], [0, 0])
+            acc[0] += r.flops
+            acc[1] += r.params
+        flops, params = sum(r.flops for r in rep.rows), sum(r.params for r in rep.rows)
+        trainable = sum(r.params_trainable for r in rep.rows)
+        assert rep.by_group() == {g: tuple(v) for g, v in groups.items()}, name
+        assert (rep.total_flops, rep.total_params, rep.total_params_trainable) == (flops, params, trainable)
+        doc = rep.to_json_dict()
+        assert doc["total"] == {
+            "flops": flops,
+            "gflops": round(flops / conv.unit_divisor, 3),
+            "params": params,
+            "params_trainable": trainable,
+        }, name
+        assert doc["rows"] == [
+            {"role": g, "flops": f, "params": p}
+            for g, (f, p) in sorted(rep.by_group().items(), key=analysis._group_key)
+        ], name
+        total_line = rep.to_text().splitlines()[-1].split()
+        assert total_line == ["total", f"{flops / conv.unit_divisor:.1f}", f"{params:,}"], name

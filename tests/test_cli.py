@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uhrkit import analysis, cli, ops
+from uhrkit import analysis, cli, ops, runtime
 from uhrkit.cli import main
 from uhrkit.ops import Tensor
 from uhrkit.runtime import load_weights
@@ -57,6 +58,46 @@ def test_auto_convention_calibrates_once_per_process(capsys, monkeypatch):
     assert run(capsys, "compare", "--a", "uhrnet-w18-small", "--b", "hrnetv2-w18-small-v2")[0] == 0
     assert len(calls) == 1
     assert outs[0] == outs[1]
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(capsys):
+    cli._build_parser.cache_clear()
+    query = ["summarize", "--structure", "1v1v3v2=", "--convention", "mac=1,head=on,cls=19", "--json"]
+    first = run(capsys, *query)
+    assert run(capsys, *query, "--width", "36")[1] != first[1]
+    assert run(capsys, *query) == first  # the default width comes back
+    assert run(capsys, *query, "--width", "18") == first
+    with pytest.raises(SystemExit) as e:  # --width parses before --blocks fails
+        main([*query, "--width", "36", "--blocks", "0"])
+    assert e.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *query) == first
+    assert cli._build_parser().parse_args(query).width == 18
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 6)  # built by the first call, reused by the rest
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["summarize", "--preset", "uhrnet-w18-small"], "summarize_uhrnet-w18-small.txt"),
+        (["summarize", "--preset", "uhrnet-w18-small", "--json"], "summarize_uhrnet-w18-small.json"),
+        (
+            ["compare", "--a", "uhrnet-w18-small", "--b", "hrnetv2-w18-small-v2", "--json"],
+            "compare_uhrnet-w18-small_hrnetv2-w18-small-v2.json",
+        ),
+    ],
+    ids=["summarize-text", "summarize-json", "compare-json"],
+)
+def test_cost_query_stdout_is_pinned(capsys, argv, golden):
+    """Byte-for-byte stdout for the paper's pair; a refactor of the cost path
+    must keep these bytes."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_summarize_structure(capsys):
@@ -154,6 +195,15 @@ def test_forward_json_reports_dtype_time_and_finiteness(tmp_path, capsys):
         assert doc["finite"] is finite is bool(np.isfinite(ops.read_tensor(yfile).data).all())
         assert isinstance(doc["elapsed_s"], float) and doc["elapsed_s"] >= 0
         assert ("warning:" in err) is not finite
+        limiter = runtime._blas_limiter()
+        assert (doc["blas_limiter"], doc["blas_threads"]) == (limiter, runtime._blas_thread_count(limiter))
+    if limiter != "none":  # the count is read when the pass runs
+        argv = ["forward", "--preset", "uhrnet-w18-small-va", "--input-file", str(xfile), "--out-file", str(yfile)]
+        with runtime._blas_single_thread(limiter):
+            doc = json.loads(run(capsys, *argv, "--json")[1])
+            text = run(capsys, *argv)[1]
+        assert (doc["blas_limiter"], doc["blas_threads"]) == (limiter, 1)
+        assert f"(BLAS limiter {limiter}, threads 1)" in text
 
 
 def test_forward_missing_weights_exit_4(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -232,6 +233,34 @@ def test_output_resolution_quarter_for_every_preset():
     for name in presets.names():
         g = infer_shapes(presets.build(name), (1, 3, 128, 192))
         assert g.output_node().out_shape[2:] == (32, 48), name
+
+
+def _graphs_to_shape():
+    """Every preset at the cost input, the micro graph, and two structures
+    off the preset list that vary width, blocks, fusion, pool mode and batch."""
+    for name in presets.names():
+        yield name, presets.build(name), presets.COST_INPUT_SHAPE
+    yield "micro", presets.build_micro(), presets.MICRO_INPUT_SHAPE
+    for code, cfg in (
+        ("2v1v3^2v1=", NetworkConfig(base_width=6, blocks_per_branch=3, fusion_kind="FusionA")),
+        ("1v2v1v1v1^2^1^1^1", NetworkConfig(base_width=8, blocks_per_branch=1, pool_mode="max")),
+    ):
+        yield code, build_uhrnet(parse_structure(code), cfg, label=code), (2, 3, 128, 192)
+
+
+def test_infer_shapes_only_adds_shapes():
+    for name, g, shape in _graphs_to_shape():
+        shaped = infer_shapes(g, shape)
+        assert len(shaped.nodes) == len(g.nodes), name
+        for node, out in zip(g.nodes, shaped.nodes):
+            assert out.out_shape is not None and len(out.out_shape) == 4, (name, node.id)
+            assert out == replace(node, out_shape=out.out_shape), (name, node.id)
+            assert (out.id, out.kind, out.inputs, out.role, out.attrs) == (
+                node.id, node.kind, node.inputs, node.role, node.attrs,
+            ), (name, node.id)
+        assert shaped.output_id == g.output_id and shaped.meta == g.meta, name
+        assert shaped.shaped and not g.shaped, name
+        assert all(n.out_shape is None for n in g.nodes), name
 
 
 def test_resolution_level_helper():

@@ -4,7 +4,7 @@ Everything runs on plain numpy arrays, float32 by default with float64
 available for verification work.  Each primitive comes as a forward
 function plus an explicit VJP.  The graph executor and the reverse sweep
 in :mod:`uhrkit.runtime` call these pairs, so there is exactly one
-implementation of every derivative.
+implementation of every primitive and of its derivative.
 
 The module also holds the one binary codec for a tensor entry,
 ``{u8 dtype, u8 rank, u64 dims[rank], little-endian payload}``, used by
@@ -31,11 +31,12 @@ released before the next band's GEMM, so the accumulator (one band of
 output rows at the padded width, a ``1/k**2`` share of the product) and
 one product stay within two bands' budget.
 
-``bilinear_up2_fwd`` and ``channel_pool2_fwd`` take an ``out=`` array,
-such as a channel slice of a concat's output, so the executor can place
-a producer's result where its concat needs it without a second copy.
-The upsampling gathers with ``np.take`` and works in place; its
-arithmetic is unchanged.
+Every forward primitive but the convolution takes an ``out=`` array.  The
+executor picks it: the conv output a fused batchnorm overwrites, an input
+buffer it is the last consumer of, or a producer's channel slice of its
+concat's output, which saves a second copy.  This module owns the
+arithmetic of every primitive; the executor only chooses where results
+go.  The upsampling gathers with ``np.take`` and works in place.
 
 Conventions:
 
@@ -223,6 +224,8 @@ def conv2d_vjp(
 # ---------------------------------------------------------------------------
 # batch normalization (inference form)
 
+BN_EPS = 1e-5
+
 
 def _per_channel(v: np.ndarray) -> np.ndarray:
     return v.reshape(1, -1, 1, 1)
@@ -234,15 +237,20 @@ def batchnorm_fwd(
     beta: np.ndarray,
     mean: np.ndarray,
     var: np.ndarray,
-    eps: float = 1e-5,
+    eps: float = BN_EPS,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``y = gamma * (x - mean) / sqrt(var + eps) + beta`` per channel."""
+    """``y = gamma * (x - mean) / sqrt(var + eps) + beta`` per channel,
+    computed as ``x * scale + (beta - mean * scale)`` with
+    ``scale = gamma / sqrt(var + eps)``; written into ``out`` when given."""
     c = x.shape[1]
     for name, p in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
         if p.shape != (c,):
             raise ShapeMismatch(f"batchnorm {name} has shape {p.shape}, expected ({c},)")
-    inv = 1.0 / np.sqrt(var + eps)
-    return _per_channel(gamma * inv) * (x - _per_channel(mean)) + _per_channel(beta)
+    scale = gamma / np.sqrt(var + eps)
+    y = np.multiply(x, _per_channel(scale), out=out)
+    y += _per_channel(beta - mean * scale)
+    return y
 
 
 def batchnorm_vjp(
@@ -274,8 +282,8 @@ def batchnorm_vjp(
 # relu
 
 
-def relu_fwd(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0, out=out)
 
 
 def relu_vjp(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -403,10 +411,10 @@ def concat_vjp(xs: list[np.ndarray], dy: np.ndarray) -> list[np.ndarray]:
     return np.split(dy, splits, axis=1)
 
 
-def add_fwd(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def add_fwd(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if x.shape != y.shape:
         raise ShapeMismatch(f"add needs matching shapes, got {x.shape} and {y.shape}")
-    return x + y
+    return np.add(x, y, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ files store each parameter with the tensor entry codec of :mod:`uhrkit.ops`.
 One executor, :meth:`_Exec.walk`, runs both the forward pass and the
 gradient checker's replay: it walks a shaped
 :class:`~uhrkit.graph.LayerGraph` in topological order over plain numpy
-arrays, calling the primitives of :mod:`uhrkit.ops`.  The reverse sweep,
-:func:`run_backward`, is the only reverse-mode engine and mirrors the walk
-with the matching VJPs.
+arrays.  Each node's arithmetic is one call of a :mod:`uhrkit.ops`
+primitive; the walk only picks the buffer each result goes into.  The
+reverse sweep, :func:`run_backward`, is the only reverse-mode engine and
+mirrors the walk with the matching VJPs.
 
 Gradient verification compares the reverse-mode gradients against central
 differences ``(f(t+eps) - f(t-eps)) / (2 eps)`` of the scalar verification
@@ -64,7 +65,6 @@ from . import ops
 from .graph import LayerGraph, Node, infer_shapes
 from .ops import ChecksumMismatch, FormatError, ShapeMismatch, Tensor
 
-BN_EPS = 1e-5
 WEIGHTS_MAGIC = b"HRWS"
 WEIGHTS_VERSION = 1
 _U64 = np.uint64
@@ -236,9 +236,9 @@ def load_weights(path) -> WeightStore:
 
 
 class _Exec:
-    """Per-run caches: dtype-cast parameters, pre-folded batchnorm affines,
-    and the walk's plan of fused conv+BN pairs and of producers that write
-    straight into their concat's output."""
+    """Per-run caches: dtype-cast parameters, and the walk's plan of fused
+    conv+BN pairs and of producers that write straight into their concat's
+    output."""
 
     def __init__(self, graph: LayerGraph, store: WeightStore, dtype):
         self.graph = graph
@@ -251,7 +251,6 @@ class _Exec:
             if arr.shape != shape:
                 raise WeightShapeMismatch(f"weight {name} has shape {arr.shape}, node expects {shape}")
             self.params[name] = arr.astype(self.dtype, copy=False)
-        self._bn_aff: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # conv -> its batchnorm when that is the conv's sole consumer; the
         # walk fuses the pair to halve elementwise traffic
         consumers: dict[str, list[Node]] = {}
@@ -275,19 +274,10 @@ class _Exec:
                         self.placed[src] = (node, off)
                     off += prod.out_shape[1]
 
-    def bn_aff(self, nid: str) -> tuple[np.ndarray, np.ndarray]:
-        ac = self._bn_aff.get(nid)
-        if ac is None:
-            g = self.params[f"{nid}.gamma"]
-            beta = self.params[f"{nid}.beta"]
-            m = self.params[f"{nid}.mean"]
-            v = self.params[f"{nid}.var"]
-            scale = g / np.sqrt(v + BN_EPS)
-            a = scale.reshape(1, -1, 1, 1)
-            c = (beta - m * scale).reshape(1, -1, 1, 1)
-            ac = (a, c)
-            self._bn_aff[nid] = ac
-        return ac
+    def bn_params(self, nid: str) -> list[np.ndarray]:
+        """Batchnorm ``nid``'s gamma, beta, mean and var, in the order
+        :func:`~uhrkit.ops.batchnorm_fwd` takes them."""
+        return [self.params[f"{nid}.{p}"] for p in ("gamma", "beta", "mean", "var")]
 
     def walk(
         self,
@@ -361,6 +351,7 @@ class _Exec:
             ins = [fetch(src) for src in node.inputs]
             src0 = node.inputs[0]
             own0 = not keep and src0 in acts and remaining[src0] == 1 and src0 not in fixed
+            reuse = ins[0] if own0 else None  # a buffer an elementwise node may overwrite
             store_as = node.id
             kind = node.kind
             if kind == "conv":
@@ -368,19 +359,11 @@ class _Exec:
                 y = ops.conv2d_fwd(ins[0], self.params[f"{node.id}.w"], a["stride"], a["pad"])
                 bn = None if keep else self.conv_bn.get(node.id)
                 if bn is not None:
-                    scale, shift = self.bn_aff(bn.id)
-                    y *= scale
-                    y += shift
+                    y = ops.batchnorm_fwd(y, *self.bn_params(bn.id), out=y)
                     fused.add(bn.id)
                     store_as = bn.id
             elif kind == "bn":
-                scale, shift = self.bn_aff(node.id)
-                if own0:
-                    y = ins[0]
-                    y *= scale
-                else:
-                    y = ins[0] * scale
-                y += shift
+                y = ops.batchnorm_fwd(ins[0], *self.bn_params(node.id), out=reuse)
             elif kind == "relu":
                 ctx = kink_ctx.get(node.id) if kink_ctx else None
                 if ctx is not None:
@@ -388,7 +371,7 @@ class _Exec:
                     flipped = (ins[0] > 0) != base_mask
                     if flipped.any():
                         kink_err += np.abs(ins[0] * sens * flipped).sum(axis=(1, 2, 3))
-                y = np.maximum(ins[0], 0, out=ins[0] if own0 else None)
+                y = ops.relu_fwd(ins[0], out=reuse)
             elif kind == "upsample":
                 y = ops.bilinear_up2_fwd(ins[0], out=slot(node, ins[0]))
             elif kind == "chpool":
@@ -396,11 +379,7 @@ class _Exec:
             elif kind == "concat":
                 y = ops.concat_fwd(ins, out=slots.pop(node.id, None))
             elif kind == "add":
-                if own0 and ins[0].shape == ins[1].shape:
-                    y = ins[0]
-                    y += ins[1]
-                else:
-                    y = ops.add_fwd(ins[0], ins[1])
+                y = ops.add_fwd(ins[0], ins[1], out=reuse)
             else:
                 raise ValueError(f"cannot execute node kind {kind!r}")
             if node.out_shape is not None and y.shape != (b, *node.out_shape[1:]):
@@ -499,7 +478,7 @@ def run_backward(
                 params[f"{p}.beta"],
                 params[f"{p}.mean"],
                 params[f"{p}.var"],
-                BN_EPS,
+                ops.BN_EPS,
                 g,
             )
             send(node.inputs[0], dx)
@@ -694,19 +673,19 @@ def _stacked_patch(
     for i, idx in enumerate(coords):
         c = int(idx)
         if kind == "bn.gamma":
-            unit = (x_in[0, c] - m[c]) / np.sqrt(v[c] + BN_EPS)
+            unit = (x_in[0, c] - m[c]) / np.sqrt(v[c] + ops.BN_EPS)
             lanes[i, c] += eps * unit
             lanes[k + i, c] -= eps * unit
         elif kind == "bn.beta":
             lanes[i, c] += eps
             lanes[k + i, c] -= eps
         elif kind == "bn.mean":
-            slope = g[c] / np.sqrt(v[c] + BN_EPS)
+            slope = g[c] / np.sqrt(v[c] + ops.BN_EPS)
             lanes[i, c] -= eps * slope
             lanes[k + i, c] += eps * slope
         else:  # bn.var, exact recompute of the nudged channel
-            lanes[i, c] = g[c] * (x_in[0, c] - m[c]) / np.sqrt(v[c] + eps + BN_EPS) + beta[c]
-            lanes[k + i, c] = g[c] * (x_in[0, c] - m[c]) / np.sqrt(v[c] - eps + BN_EPS) + beta[c]
+            lanes[i, c] = g[c] * (x_in[0, c] - m[c]) / np.sqrt(v[c] + eps + ops.BN_EPS) + beta[c]
+            lanes[k + i, c] = g[c] * (x_in[0, c] - m[c]) / np.sqrt(v[c] - eps + ops.BN_EPS) + beta[c]
     return lanes
 
 
@@ -756,7 +735,7 @@ def _check_entry(st: _GcState, entry: tuple[str, str, str, tuple[int, ...]]) -> 
         chunk = order[pos : pos + min(budget - pos, want - checked + 4, 24)]
         pos += len(chunk)
         if kind == "bn.var":  # keep var + eps positive on the minus side
-            ok = ex.params[f"{node_id}.var"][chunk] - eps + BN_EPS > 0
+            ok = ex.params[f"{node_id}.var"][chunk] - eps + ops.BN_EPS > 0
             skipped += int((~ok).sum())
             chunk = chunk[ok]
             if len(chunk) == 0:

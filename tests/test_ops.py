@@ -326,6 +326,35 @@ def test_concat_and_add():
         add_fwd(a, b)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("prim", ["bn", "relu", "add"])
+def test_out_overwrites_the_input_with_the_same_bytes(prim, dtype):
+    # the executor passes an input buffer as out= when it is the last reader
+    x = _rng(8).normal(size=(2, 3, 4, 5)).astype(dtype)
+    gamma, beta, mean = _rng(9).normal(size=(3, 3)).astype(dtype)
+    var = _rng(10).uniform(0.5, 2.0, size=3).astype(dtype)
+    other = _rng(11).normal(size=x.shape).astype(dtype)
+    fwd = {
+        "bn": lambda a, out=None: batchnorm_fwd(a, gamma, beta, mean, var, out=out),
+        "relu": lambda a, out=None: relu_fwd(a, out=out),
+        "add": lambda a, out=None: add_fwd(a, other, out=out),
+    }[prim]
+    want = fwd(x)
+    assert want is not x
+    buf = x.copy()
+    assert fwd(buf, out=buf) is buf
+    assert buf.dtype == want.dtype and buf.tobytes() == want.tobytes()
+
+
+def test_add_into_out_still_checks_shapes():
+    # numpy alone would broadcast b into a
+    a = _rng(12).normal(size=(1, 4, 2, 2))
+    before = a.copy()
+    with pytest.raises(ShapeMismatch):
+        add_fwd(a, np.ones((1, 1, 2, 2)), out=a)
+    assert a.tobytes() == before.tobytes()
+
+
 def test_concat_into_out_with_a_placed_input():
     a = _rng(5).normal(size=(2, 4, 2, 3))
     b = _rng(6).normal(size=(2, 5, 2, 3))

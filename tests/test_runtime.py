@@ -199,6 +199,41 @@ def test_forward_reuse_matches_kept_activations(graph, dtype):
     assert x.tobytes() == x_before.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_walk_runs_the_ops_primitives(dtype):
+    # every kept bn, relu and add activation is the bytes its ops primitive
+    # gives for the kept inputs; batchnorms are drawn away from the identity
+    # so that an affine rounded another way would show
+    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
+    store = init_weights(g, 42)
+    rng = np.random.default_rng(42)
+    for name, _nid, kind, shape in param_entries(g):
+        if kind == "bn.var":
+            store.arrays[name] = rng.uniform(0.5, 2.0, shape).astype(np.float32)
+        elif kind != "conv.w":
+            store.arrays[name] = rng.normal(size=shape).astype(np.float32)
+    store = store.astype(dtype)
+    x = verification_input(g.nodes[0].out_shape, 42).data.astype(dtype)
+    reused, _ = run_forward(g, store, x)
+    out, acts = run_forward(g, store, x, keep_activations=True)
+    assert np.isfinite(out).all()
+    assert reused.tobytes() == out.tobytes()  # the fused conv+bn path too
+    fwd = {
+        "bn": lambda n, a: ops.batchnorm_fwd(
+            a[0], *(store.arrays[f"{n.id}.{p}"] for p in ("gamma", "beta", "mean", "var"))
+        ),
+        "relu": lambda n, a: ops.relu_fwd(a[0]),
+        "add": lambda n, a: ops.add_fwd(a[0], a[1]),
+    }
+    seen = dict.fromkeys(fwd, 0)
+    for node in g.nodes:
+        if node.kind in fwd:
+            want = fwd[node.kind](node, [acts[i] for i in node.inputs])
+            assert acts[node.id].tobytes() == want.tobytes(), node.id
+            seen[node.kind] += 1
+    assert all(seen.values()), seen
+
+
 def test_micro_graph_places_producers_into_concats():
     # upsamples and channel pools whose sole consumer is a concat are written
     # straight into its output, so the reuse test above covers placement
@@ -307,6 +342,25 @@ def test_gradcheck_detects_wrong_gradient(monkeypatch):
     rep = gradcheck(g, store, x, eps=1e-4, tolerance=1e-5, sample_count=4, seed=7, workers=1)
     assert not rep.passed
     assert rep.max_rel_err > 0.1
+
+
+def test_gradcheck_detects_a_1e4_error_in_one_vjp(monkeypatch):
+    # a verifier that passes vacuously would miss an error this small
+    g = tiny_graph()
+    store = init_weights(g, 7)
+    x = verification_input((1, 3, 64, 64), 7)
+    true_vjp = ops.batchnorm_vjp
+
+    def skewed_vjp(*args):
+        dx, dg, db, dm, dv = true_vjp(*args)
+        return dx, dg, db, dm, dv * (1 + 1e-4)
+
+    monkeypatch.setattr(ops, "batchnorm_vjp", skewed_vjp)
+    rep = gradcheck(g, store, x, eps=1e-4, tolerance=1e-5, sample_count=6, seed=7, workers=1)
+    assert not rep.passed
+    assert 5e-5 < rep.max_rel_err < 2e-4
+    failed = [p.name for p in rep.params if p.max_rel_err >= rep.tolerance]
+    assert failed and all(name.endswith(".var") for name in failed)
 
 
 def test_gradcheck_workers_do_not_change_results():

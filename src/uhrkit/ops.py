@@ -21,7 +21,10 @@ channels, with the kernel offsets added in the same order; the GEMMs
 only change shape, which for a batch of one left every output bit of
 the reference presets unchanged.  A batched GEMM of another shape may
 round differently in the last bit, so the band split is part of the
-output's bytes.
+output's bytes.  Each band's input rows, with the kernel's halo, are
+staged zero-padded into one band-sized buffer whose zero border is
+written once per call: no padded copy of the whole input exists (the
+VJP and ``conv_windows`` still pad the whole input).
 
 The shift-GEMM sums a band's kernel offsets in an accumulator laid out
 at the padded width, where each offset is one contiguous flat shift of
@@ -36,7 +39,10 @@ executor picks it: the conv output a fused batchnorm overwrites, an input
 buffer it is the last consumer of, or a producer's channel slice of its
 concat's output, which saves a second copy.  This module owns the
 arithmetic of every primitive; the executor only chooses where results
-go.  The upsampling gathers with ``np.take`` and works in place.
+go.  The upsampling gathers with ``np.take`` and works in place, through
+blocks of channels whose temporaries stay cache-sized
+(``UP2_BLOCK_BYTES``, 2 MiB of output per block): no full-map upsample
+temporary exists either.
 
 Conventions:
 
@@ -128,26 +134,53 @@ def _im2col(xp: np.ndarray, k: int, stride: int, wo: int, r0: int, r1: int) -> n
     return cols.reshape(n, c * k * k, rows * wo)
 
 
-def _conv_shift_gemm(xp: np.ndarray, w: np.ndarray, ho: int, wo: int) -> np.ndarray:
-    """Stride-1 convolution over the padded input ``xp`` without an im2col
-    buffer: per band of output rows, one GEMM of all kernel offsets against
-    the band's input rows (plus the kernel's halo), then the shifted output
-    windows are accumulated offset by offset.
+def _band_buffer(x: np.ndarray, rows: int, pad: int) -> np.ndarray:
+    """A buffer for ``rows`` padded input rows of ``x``; its border columns
+    are zero, its rows are filled by ``_stage``."""
+    n, c, _, w = x.shape
+    buf = np.empty((n, c, rows, w + 2 * pad), dtype=x.dtype)
+    buf[..., :pad] = 0
+    buf[..., pad + w :] = 0
+    return buf
 
-    The accumulator keeps the padded width ``wp``, so output ``(r, j)`` sits
-    at flat position ``r * wp + j`` and offset ``(ki, kj)`` reads the product
-    at ``+ ki * wp + kj``: every offset is one contiguous flat shift.  The
-    ``wo`` valid columns of each row are copied out per band.
+
+def _stage(x: np.ndarray, buf: np.ndarray, top: int, pad: int) -> np.ndarray:
+    """``buf`` filled with rows ``top:top + len`` of ``x`` zero-padded by
+    ``pad``: the rows inside ``x`` are copied, the rows above or below it
+    zeroed.  The border columns stay as ``_band_buffer`` left them."""
+    h, w = x.shape[2], x.shape[3]
+    lo = min(max(0, pad - top), buf.shape[2])
+    hi = max(lo, min(buf.shape[2], pad - top + h))
+    buf[:, :, :lo] = 0
+    buf[:, :, hi:] = 0
+    buf[:, :, lo:hi, pad : pad + w] = x[:, :, top + lo - pad : top + hi - pad]
+    return buf
+
+
+def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, ho: int, wo: int) -> np.ndarray:
+    """Stride-1 convolution without an im2col buffer: per band of output
+    rows, one GEMM of all kernel offsets against the band's padded input
+    rows (plus the kernel's halo), then the shifted output windows are
+    accumulated offset by offset.
+
+    The band's input rows are staged, zero-padded, into one band-sized
+    buffer.  The accumulator keeps the padded width ``wp``, so output
+    ``(r, j)`` sits at flat position ``r * wp + j`` and offset ``(ki, kj)``
+    reads the product at ``+ ki * wp + kj``: every offset is one contiguous
+    flat shift.  The ``wo`` valid columns of each row are copied out per
+    band.
     """
-    n, c, _, wp = xp.shape
+    n, c, _, wd = x.shape
     cout, _, kh, kw = w.shape
+    wp = wd + 2 * pad
     wm = np.ascontiguousarray(w.reshape(cout, c, kh * kw).transpose(2, 0, 1)).reshape(kh * kw * cout, c)
-    y = np.empty((n, cout, ho, wo), dtype=xp.dtype)
-    step = _band_rows(n * kh * kw * cout * wp * xp.itemsize, kh - 1, ho)
-    acc = np.empty((n, cout, step * wp), dtype=xp.dtype)
+    y = np.empty((n, cout, ho, wo), dtype=x.dtype)
+    step = _band_rows(n * kh * kw * cout * wp * x.itemsize, kh - 1, ho)
+    acc = np.empty((n, cout, step * wp), dtype=x.dtype)
+    xb = _band_buffer(x, step + kh - 1, pad)
     for r0 in range(0, ho, step):
         rows = min(step, ho - r0)
-        band = xp[:, :, r0 : r0 + rows + kh - 1].reshape(n, c, (rows + kh - 1) * wp)
+        band = _stage(x, xb[:, :, : rows + kh - 1], r0, pad).reshape(n, c, (rows + kh - 1) * wp)
         t = (wm @ band).reshape(n, kh * kw, cout, (rows + kh - 1) * wp)
         # the last row needs only its wo valid columns, which keeps the
         # largest shift inside the product
@@ -176,20 +209,26 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
         raise ShapeMismatch(f"conv input has {cin} channels, weight expects {cin_w}")
     if pad is None:
         pad = kh // 2
-    xp = _pad(x, pad)
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
     if stride == 1 and kh > 1:
-        return _conv_shift_gemm(xp, w, ho, wo)
+        return _conv_shift_gemm(x, w, pad, ho, wo)
     wm = w.reshape(cout, -1)
-    if kh == 1 and stride == 1:
-        return (wm @ _im2col(xp, 1, 1, wo, 0, ho)).reshape(n, cout, ho, wo)
+    if kh == 1 and stride == 1 and not pad:
+        return (wm @ _im2col(x, 1, 1, wo, 0, ho)).reshape(n, cout, ho, wo)
     y = np.empty((n, cout, ho, wo), dtype=x.dtype)
     yf = y.reshape(n, cout, ho * wo)
     step = _band_rows(n * cin * kh * kw * wo * x.itemsize, 0, ho)
+    xb = _band_buffer(x, stride * (step - 1) + kh, pad) if pad else None
     for r0 in range(0, ho, step):
         r1 = min(r0 + step, ho)
-        np.matmul(wm, _im2col(xp, kh, stride, wo, r0, r1), out=yf[:, :, r0 * wo : r1 * wo])
+        if pad:
+            band = _stage(x, xb[:, :, : stride * (r1 - r0 - 1) + kh], stride * r0, pad)
+            cols = _im2col(band, kh, stride, wo, 0, r1 - r0)
+        else:
+            cols = _im2col(x, kh, stride, wo, r0, r1)
+        np.matmul(wm, cols, out=yf[:, :, r0 * wo : r1 * wo])
+        del cols  # before the next band's columns are gathered
     return y
 
 
@@ -293,6 +332,10 @@ def relu_vjp(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # corner-aligned bilinear upsampling, factor 2
 
+# Byte budget for one channel block's output share: the block's largest
+# temporary, about as large as its output slice, stays cache-sized.
+UP2_BLOCK_BYTES = 2 * 2**20
+
 
 def _lerp_axis(n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index pairs and fractional weights mapping ``2*n_in`` outputs onto
@@ -310,25 +353,35 @@ def _lerp_axis(n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def bilinear_up2_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``rows = x[iy0] * (1 - wy) + x[iy1] * wy``, then the same step along
-    the columns of ``rows``; the sum is written into ``out`` when given."""
+    the columns of ``rows``; the sum is written into ``out`` when given.
+
+    Works through blocks of channels whose temporaries stay within
+    ``UP2_BLOCK_BYTES``, each block written straight into its slice of the
+    output."""
     n, c, h, w = x.shape
     iy0, iy1, wy = _lerp_axis(h)
     ix0, ix1, wx = _lerp_axis(w)
     wy = wy.astype(x.dtype)[None, None, :, None]
     wx = wx.astype(x.dtype)[None, None, None, :]
-    # the indices are in range, and "clip" lets take write into a strided out
-    rows = np.take(x, iy0, axis=2, mode="clip")
-    rows *= 1 - wy
-    t = np.take(x, iy1, axis=2, mode="clip")
-    t *= wy
-    rows += t
-    del t
-    y = np.take(rows, ix0, axis=3, out=out, mode="clip")
-    y *= 1 - wx
-    t = np.take(rows, ix1, axis=3, mode="clip")
-    t *= wx
-    y += t
-    return y
+    if out is None:
+        out = np.empty((n, c, 2 * h, 2 * w), dtype=x.dtype)
+    step = max(1, UP2_BLOCK_BYTES // max(n * 4 * h * w * x.itemsize, 1))
+    for c0 in range(0, c, step):
+        xb = x[:, c0 : c0 + step]
+        # the indices are in range, and "clip" lets take write into a strided out
+        rows = np.take(xb, iy0, axis=2, mode="clip")
+        rows *= 1 - wy
+        t = np.take(xb, iy1, axis=2, mode="clip")
+        t *= wy
+        rows += t
+        del t
+        y = np.take(rows, ix0, axis=3, out=out[:, c0 : c0 + step], mode="clip")
+        y *= 1 - wx
+        t = np.take(rows, ix1, axis=3, mode="clip")
+        t *= wx
+        y += t
+        del rows, t  # before the next block's temporaries
+    return out
 
 
 def _scatter_axis(dy: np.ndarray, i0, i1, w, n_in: int, axis: int) -> np.ndarray:

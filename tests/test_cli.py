@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,20 @@ def test_parse_json(capsys):
     assert doc["stages"] == [1, 1, 3, 2]
     assert doc["terminal_two_branch"] is True
     assert doc["stage_levels"] == [[0], [0, 1], [1, 2], [2, 3]]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    r = subprocess.run(
+        [sys.executable, "-m", "uhrkit", "parse", "1v1", "--json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["canonical"] == "1v1"
 
 
 def test_parse_error_exit_2(capsys):

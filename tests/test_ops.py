@@ -125,7 +125,6 @@ def test_conv_matches_naive_oracle():
 def test_conv_temporaries_stay_within_band_budget(stride):
     x = _rng(5).normal(size=(1, 64, 256, 512)).astype(np.float32)
     w = _rng(6).normal(size=(64, 64, 3, 3)).astype(np.float32)
-    padded = 64 * 258 * 514 * x.itemsize
     out = 64 * (256 // stride) * (512 // stride) * x.itemsize
     tracemalloc.start()
     try:
@@ -134,7 +133,8 @@ def test_conv_temporaries_stay_within_band_budget(stride):
     finally:
         tracemalloc.stop()
     assert y.shape == (1, 64, 256 // stride, 512 // stride)
-    assert peak <= padded + out + 2 * ops.BAND_BYTES
+    # no padded copy of the input: only bands of it are staged
+    assert peak <= out + 2 * ops.BAND_BYTES
 
 
 def _shift_oracle(x, w):
@@ -173,6 +173,73 @@ def test_conv_flat_shift_is_bit_identical_to_window_adds(n):
             assert banded.tobytes() == one_band.tobytes()
         else:
             assert np.max(np.abs(banded - naive_conv2d(x, w))) < 1e-12
+
+
+def _padded_one_band(x, w, stride):
+    """The conv as one band over an ``np.pad``-ed copy of the whole input:
+    the shift-GEMM oracle for stride 1, one im2col GEMM for stride 2."""
+    if stride == 1:
+        return _shift_oracle(x, w)
+    n, c = x.shape[:2]
+    cout, _, k, _ = w.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    ho = (xp.shape[2] - k) // stride + 1
+    wo = (xp.shape[3] - k) // stride + 1
+    cols = np.empty((n, c, k * k, ho, wo), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, :, ki * k + kj] = xp[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride]
+    y = w.reshape(cout, -1) @ cols.reshape(n, c * k * k, ho * wo)
+    return y.reshape(n, cout, ho, wo)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("rows_per_band", [1, 2])
+def test_staged_padding_at_the_map_edges(n, stride, rows_per_band):
+    """Maps down to 1x1, where one staged band holds both the top and the
+    bottom zero rows, and band budgets of one or two output rows."""
+    rng = _rng(21)
+    cin, cout, k = 3, 4, 3
+    for h, wd in [(1, 1), (2, 3), (3, 2), (1, 5), (4, 1), (5, 4), (7, 6)]:
+        ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+        for dtype in (np.float32, np.float64):
+            x = rng.normal(size=(n, cin, h, wd)).astype(dtype)
+            w = rng.normal(size=(cout, cin, k, k)).astype(dtype)
+            xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+            if stride == 1:  # shift-GEMM products over band + halo rows
+                budget = n * k * k * cout * (wd + k - 1) * (rows_per_band + k - 1) * x.itemsize
+            else:  # im2col columns of the band's output rows
+                budget = n * cin * k * k * wo * rows_per_band * x.itemsize
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ops, "BAND_BYTES", budget)
+                got = ops.conv2d_fwd(x, w, stride)
+                # the same bands over a whole padded copy
+                prepadded = ops.conv2d_fwd(xp, w, stride, 0)
+                mp.setattr(ops, "BAND_BYTES", 2**62)
+                one_band = ops.conv2d_fwd(x, w, stride)
+            assert got.shape == (n, cout, ho, wo)
+            if dtype is np.float32:
+                # a band of one output column is a matrix-vector product,
+                # which may round unlike a wider GEMM: compare like bands
+                assert got.tobytes() == prepadded.tobytes()
+                assert one_band.tobytes() == _padded_one_band(x, w, stride).tobytes()
+            else:
+                assert np.max(np.abs(got - naive_conv2d(x, w, stride))) < 1e-12
+
+
+def test_forward_conv_never_pads_the_whole_input(monkeypatch):
+    x = _rng(22).normal(size=(2, 3, 6, 5))
+    cases = [(s, _rng(23).normal(size=(4, 3, k, k))) for k, s in [(3, 1), (3, 2), (1, 1), (1, 2)]]
+    want = [naive_conv2d(x, w, s) for s, w in cases]
+
+    def no_pad(*args, **kwargs):
+        raise AssertionError("np.pad called by the forward conv")
+
+    monkeypatch.setattr(np, "pad", no_pad)
+    for (s, w), y in zip(cases, want):
+        assert np.max(np.abs(ops.conv2d_fwd(x, w, s) - y)) < 1e-12
 
 
 def test_conv_shape_mismatch():
@@ -280,6 +347,37 @@ def test_upsample_matches_formula_with_and_without_out(dtype):
         assert np.shares_memory(got, buf)
         assert buf[:, 1 : 1 + c].tobytes() == want
         assert np.isnan(buf[:, 0]).all() and np.isnan(buf[:, 1 + c :]).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_upsample_matches_one_block(dtype):
+    n, c, h, w = 2, 5, 3, 4
+    x = _rng(14).normal(size=(n, c, h, w)).astype(dtype)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "UP2_BLOCK_BYTES", 2**62)
+        want = bilinear_up2_fwd(x).tobytes()
+        # two channels' output per block: 5 channels split 2+2+1
+        mp.setattr(ops, "UP2_BLOCK_BYTES", 2 * n * 4 * h * w * x.itemsize)
+        assert bilinear_up2_fwd(x).tobytes() == want
+        # into a channel slice of a larger concat buffer, as a placed producer writes
+        buf = np.full((n, c + 4, 2 * h, 2 * w), np.nan, dtype=dtype)
+        got = bilinear_up2_fwd(x, out=buf[:, 3 : 3 + c])
+    assert np.shares_memory(got, buf)
+    assert buf[:, 3 : 3 + c].tobytes() == want
+    assert np.isnan(buf[:, :3]).all() and np.isnan(buf[:, 3 + c :]).all()
+
+
+def test_upsample_temporaries_stay_within_block_budget():
+    x = _rng(15).normal(size=(1, 144, 128, 256)).astype(np.float32)
+    out = x.nbytes * 4
+    tracemalloc.start()
+    try:
+        y = bilinear_up2_fwd(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (1, 144, 256, 512)
+    assert peak <= out + 2 * ops.UP2_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -120,14 +120,20 @@ class CostReport:
 
     def _rollup(self) -> tuple[dict[str, tuple[int, int]], tuple[int, int, int]]:
         """:meth:`by_group` and the three totals (flops, params, trainable
-        params) in one pass over the rows."""
-        acc: dict[str, list[int]] = {}
+        params) in one pass over the rows, summed per role before the few
+        distinct roles are folded into groups."""
+        by_role: dict[str, list[int]] = {}
         trainable = 0
         for r in self.rows:
-            a = acc.setdefault(role_group(r.role), [0, 0])
+            a = by_role.setdefault(r.role, [0, 0])
             a[0] += r.flops
             a[1] += r.params
             trainable += r.params_trainable
+        acc: dict[str, list[int]] = {}
+        for role, (flops, params) in by_role.items():
+            a = acc.setdefault(role_group(role), [0, 0])
+            a[0] += flops
+            a[1] += params
         groups = {g: (a[0], a[1]) for g, a in acc.items()}
         return groups, (sum(a[0] for a in acc.values()), sum(a[1] for a in acc.values()), trainable)
 

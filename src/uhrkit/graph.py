@@ -60,11 +60,17 @@ class IndivisibleInput(GraphError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Node:
     """One primitive layer.  ``inputs`` name producer nodes; ``role`` is the
     coarse structural tag (stem / stageN.branchM / transition / fusion /
-    head) used for cost rollups."""
+    head) used for cost rollups.
+
+    Nodes are read-only by contract: no code assigns to a node or mutates
+    its ``attrs``, and :func:`infer_shapes` builds new nodes rather than
+    editing old ones.  The class is slotted instead of frozen because a
+    cost query builds every node twice, and a frozen ``__init__`` sets each
+    field through ``object.__setattr__`` at several times the cost."""
 
     id: str
     kind: str  # input | conv | bn | relu | upsample | chpool | concat | add

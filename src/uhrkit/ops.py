@@ -19,12 +19,16 @@ faulting in those pages cost about a quarter of a forward pass's wall
 time.  Every output element is still the same dot product over input
 channels, with the kernel offsets added in the same order; the GEMMs
 only change shape, which for a batch of one left every output bit of
-the reference presets unchanged.  A batched GEMM of another shape may
-round differently in the last bit, so the band split is part of the
-output's bytes.  Each band's input rows, with the kernel's halo, are
-staged zero-padded into one band-sized buffer whose zero border is
-written once per call: no padded copy of the whole input exists (the
-VJP and ``conv_windows`` still pad the whole input).
+the reference presets unchanged.  That holds only while every band has
+more than one output column: a strided band one column wide is a
+matrix-vector product, which OpenBLAS rounds unlike a wider GEMM, so a
+map of ``wo == 1`` gets other float32 bytes from one band than from
+several.  A batched GEMM of another shape may also round differently in
+the last bit, so the band split is part of the output's bytes.  Each
+band's input rows, with the kernel's halo, are staged zero-padded into
+one band-sized buffer whose zero border is written once per call: no
+padded copy of the whole input exists (the VJP and ``conv_windows``
+still pad the whole input).
 
 The shift-GEMM sums a band's kernel offsets in an accumulator laid out
 at the padded width, where each offset is one contiguous flat shift of

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -95,6 +96,10 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(capsys):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+# non-default width, blocks and fusion, under the calibrated convention
+STRUCTURE_QUERY = [
+    "summarize", "--structure", "1v2v1v1v1^2^1^1^1", "--width", "36", "--blocks", "1", "--fusion", "a",
+]
 
 
 @pytest.mark.parametrize(
@@ -106,15 +111,26 @@ GOLDEN = Path(__file__).parent / "golden"
             ["compare", "--a", "uhrnet-w18-small", "--b", "hrnetv2-w18-small-v2", "--json"],
             "compare_uhrnet-w18-small_hrnetv2-w18-small-v2.json",
         ),
+        (STRUCTURE_QUERY, "summarize_structure_w36_b1_fusion-a.txt"),
+        ([*STRUCTURE_QUERY, "--json"], "summarize_structure_w36_b1_fusion-a.json"),
     ],
-    ids=["summarize-text", "summarize-json", "compare-json"],
+    ids=["summarize-text", "summarize-json", "compare-json", "structure-text", "structure-json"],
 )
 def test_cost_query_stdout_is_pinned(capsys, argv, golden):
-    """Byte-for-byte stdout for the paper's pair; a refactor of the cost path
-    must keep these bytes."""
+    """Byte-for-byte stdout for the paper's pair and for a structure query off
+    every default; a refactor of the cost path must keep these bytes."""
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_export_file_is_pinned(tmp_path, capsys):
+    """The exported graph file of the paper's preset, byte for byte."""
+    out = tmp_path / "g.json"
+    code, _, _ = run(capsys, "export", "--preset", "uhrnet-w18-small", "--out", str(out))
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "7e5473bbf94fbd4528c8317b19748d6c0ad4a313d12f6bd0a203c664069b8782"
 
 
 def test_summarize_structure(capsys):

@@ -1,12 +1,13 @@
 import struct
 import zlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from uhrkit import ops, presets, runtime
+from uhrkit import analysis, ops, presets, runtime
 from uhrkit.dsl import parse_structure
-from uhrkit.graph import NetworkConfig, build_uhrnet, infer_shapes
+from uhrkit.graph import NetworkConfig, build_uhrnet, export_graph, import_graph, infer_shapes
 from uhrkit.ops import ChecksumMismatch, FormatError
 from uhrkit.runtime import (
     WeightMissing,
@@ -197,6 +198,25 @@ def test_forward_reuse_matches_kept_activations(graph, dtype):
     assert acts[g.input_id] is x
     assert len(acts) == len(g.nodes)
     assert x.tobytes() == x_before.tobytes()
+
+
+@pytest.mark.parametrize("name", ["uhrnet-w18-small", "micro"])
+def test_library_code_never_mutates_a_node(name):
+    # nodes are slotted, not frozen: read-only holds by contract, so every
+    # consumer of a graph must leave each node's fields and attrs as it found them
+    g = presets.build_micro() if name == "micro" else presets.build(name)
+    shape = presets.MICRO_INPUT_SHAPE
+    before = [(n, astuple(n)) for n in g.nodes]  # astuple deep-copies attrs
+    shaped = infer_shapes(g, shape)
+    before += [(n, astuple(n)) for n in shaped.nodes]
+    analysis.count_flops(shaped, analysis.CostConvention())
+    import_graph(export_graph(shaped))
+    store = init_weights(shaped, 3)
+    x = verification_input(shape, 3).data
+    run_forward(shaped, store, x)
+    run_forward(shaped, store, x, keep_activations=True)
+    for node, fields in before:
+        assert astuple(node) == fields, node.id
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

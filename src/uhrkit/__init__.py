@@ -36,7 +36,6 @@ from .ops import Tensor
 from .runtime import (
     GradCheckReport,
     WeightStore,
-    forward,
     gradcheck,
     init_weights,
     load_weights,

@@ -217,14 +217,14 @@ def cmd_forward(args) -> int:
         store = runtime.load_weights(args.weights)
     else:
         store = runtime.init_weights(graph, args.seed)
-    x = ops.read_tensor(args.input_file)
+    x = ops.read_tensor(args.input_file).data
     limiter = runtime._blas_limiter()  # output bytes depend on the BLAS thread count
     threads = runtime._blas_thread_count(limiter)
     start = time.perf_counter()
-    out = runtime.forward(graph, store, x)
+    out, _ = runtime.run_forward(graph, store, x)
     elapsed = time.perf_counter() - start
     ops.write_tensor(args.out_file, out)
-    finite = bool(np.isfinite(out.data).all())
+    finite = bool(np.isfinite(out).all())
     if not finite:
         sys.stderr.write("warning: the output holds NaN or infinite values\n")
     if args.json:

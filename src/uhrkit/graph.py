@@ -22,7 +22,8 @@ lives here:
   applies a width-preserving 1x1 conv + BN + ReLU.
 
 Channel widths follow ``C * 2**level`` for levels 0..4 (1/4 .. 1/64).  No
-convolution carries a bias: a BN follows every conv.
+convolution carries a bias: a BN follows every conv.  Both families share
+the stem and stage 1 (``_trunk``), the hr-modules and the head.
 """
 
 from __future__ import annotations
@@ -222,6 +223,32 @@ def _exchange(b: _Builder, prefix, xs, chs, stage_tag):
     return outs
 
 
+def _trunk(b: _Builder, stage1_blocks: int, stage1_width: int) -> tuple[str, int]:
+    """The input, the two stride-2 stem convs and stage 1's bottlenecks,
+    which both families share; returns stage 1's output and its width."""
+    x = b.emit("input", "input", (), "stem", ch=3)
+    x = b.conv_bn_relu("stem.conv1", x, 3, 64, 3, 2, "stem")
+    x = b.conv_bn_relu("stem.conv2", x, 64, 64, 3, 2, "stem")
+    ch = 64
+    for k in range(stage1_blocks):
+        x, ch = _bottleneck(b, f"s1.m0.b0.blk{k}", x, ch, stage1_width, "stage1.branch0")
+    return x, ch
+
+
+def _hr_modules(b: _Builder, si: int, count: int, xs, chs, blocks: int) -> list[str]:
+    """Stage ``si``'s ``count`` hr-modules over the branches ``xs`` (widths
+    ``chs``, highest resolution first): ``blocks`` basic blocks on every
+    branch, then an exchange when there is more than one branch."""
+    for m in range(count):
+        after = []
+        for bi, (t, ch) in enumerate(zip(xs, chs)):
+            for k in range(blocks):
+                t = _basic(b, f"s{si}.m{m}.b{bi}.blk{k}", t, ch, f"stage{si}.branch{bi}")
+            after.append(t)
+        xs = _exchange(b, f"s{si}.m{m}.x", after, chs, f"stage{si}") if len(after) > 1 else after
+    return xs
+
+
 # ---------------------------------------------------------------------------
 # U-shaped family
 
@@ -316,15 +343,7 @@ def build_uhrnet(seq: StageSequence, cfg: NetworkConfig, label: str | None = Non
         raise WidthOverflow(f"stream width {max(width.values())} exceeds the cap {MAX_WIDTH}")
 
     b = _Builder()
-    x = b.emit("input", "input", (), "stem", ch=3)
-    x = b.conv_bn_relu("stem.conv1", x, 3, 64, 3, 2, "stem")
-    x = b.conv_bn_relu("stem.conv2", x, 64, 64, 3, 2, "stem")
-
-    ch = 64
-    n_blocks1 = stages[0] * cfg.blocks_per_branch
-    for k in range(n_blocks1):
-        x, ch = _bottleneck(b, f"s1.m0.b0.blk{k}", x, ch, STAGE1_BLOCK_WIDTH, "stage1.branch0")
-    stage1_out, stage1_ch = x, ch
+    stage1_out, stage1_ch = _trunk(b, stages[0] * cfg.blocks_per_branch, STAGE1_BLOCK_WIDTH)
 
     last_at: dict[int, _Feature] = {0: _Feature(stage1_out, stage1_ch, 1)}
     fusions: list[dict] = []
@@ -340,24 +359,10 @@ def build_uhrnet(seq: StageSequence, cfg: NetworkConfig, label: str | None = Non
 
     for si in range(2, n_stages + 1):
         lv = sorted(levels[si - 1])
-        for m in range(stages[si - 1]):
-            after_blocks: dict[int, str] = {}
-            for bi, l in enumerate(lv):
-                t = cur[l]
-                for k in range(cfg.blocks_per_branch):
-                    t = _basic(b, f"s{si}.m{m}.b{bi}.blk{k}", t, width[l], f"stage{si}.branch{bi}")
-                after_blocks[l] = t
-            if len(lv) == 2:
-                outs = _exchange(
-                    b,
-                    f"s{si}.m{m}.x",
-                    [after_blocks[l] for l in lv],
-                    [width[l] for l in lv],
-                    f"stage{si}",
-                )
-                cur = dict(zip(lv, outs))
-            else:
-                cur = after_blocks
+        outs = _hr_modules(
+            b, si, stages[si - 1], [cur[l] for l in lv], [width[l] for l in lv], cfg.blocks_per_branch
+        )
+        cur = dict(zip(lv, outs))
         for l in lv:
             last_at[l] = _Feature(cur[l], width[l], si)
 
@@ -474,7 +479,8 @@ _HRNETV2_CFGS = {
 
 
 def build_hrnetv2(preset: str, label: str | None = None) -> LayerGraph:
-    """Four parallel streams with full exchange meshes and a concat head.
+    """Parallel streams (stage ``s`` holds levels ``0..s-1``) with full
+    exchange meshes and a concat head.
 
     ``preset`` is one of ``w18-small-v1``, ``w18-small-v2``, ``w48``.
     """
@@ -486,50 +492,17 @@ def build_hrnetv2(preset: str, label: str | None = None) -> LayerGraph:
     blocks = cfg["blocks"]
 
     b = _Builder()
-    x = b.emit("input", "input", (), "stem", ch=3)
-    x = b.conv_bn_relu("stem.conv1", x, 3, 64, 3, 2, "stem")
-    x = b.conv_bn_relu("stem.conv2", x, 64, 64, 3, 2, "stem")
-
-    ch = 64
-    for k in range(cfg["stage1_blocks"]):
-        x, ch = _bottleneck(b, f"s1.m0.b0.blk{k}", x, ch, cfg["stage1_width"], "stage1.branch0")
-
-    xs = [
-        b.conv_bn_relu("t1to2.l0", x, ch, channels[0], 3, 1, "transition"),
-        b.conv_bn_relu("t1to2.l1", x, ch, channels[1], 3, 2, "transition"),
-    ]
+    x, ch = _trunk(b, cfg["stage1_blocks"], cfg["stage1_width"])
+    xs = [b.conv_bn_relu(f"t1to2.l{l}", x, ch, channels[l], 3, s, "transition") for l, s in ((0, 1), (1, 2))]
     for si, n_mod in zip((2, 3, 4), cfg["modules"]):
-        nbr = si
-        if len(xs) < nbr:  # grow one branch from the previous lowest stream
+        if len(xs) < si:  # grow one branch from the previous lowest stream
             xs.append(
                 b.conv_bn_relu(
-                    f"t{si - 1}to{si}.l{nbr - 1}",
-                    xs[-1],
-                    channels[nbr - 2],
-                    channels[nbr - 1],
-                    3,
-                    2,
-                    "transition",
+                    f"t{si - 1}to{si}.l{si - 1}", xs[-1], channels[si - 2], channels[si - 1], 3, 2, "transition"
                 )
             )
-        chs = list(channels[:nbr])
-        for m in range(n_mod):
-            after = []
-            for bi in range(nbr):
-                t = xs[bi]
-                for k in range(blocks):
-                    t = _basic(b, f"s{si}.m{m}.b{bi}.blk{k}", t, chs[bi], f"stage{si}.branch{bi}")
-                after.append(t)
-            xs = _exchange(b, f"s{si}.m{m}.x", after, chs, f"stage{si}")
-
-    feats = []
-    for l, t in enumerate(xs):
-        for u in range(l):
-            t = b.up(f"head.l{l}.up{u}", t, "head")
-        feats.append(t)
-    total = sum(channels)
-    cat = b.cat("head.concat", feats, "head")
-    out = b.conv_bn_relu("head.conv", cat, total, total, 1, 1, "head")
+        xs = _hr_modules(b, si, n_mod, xs, channels[:si], blocks)
+    out, head_meta = _head(b, {l: _Feature(t, channels[l], 4) for l, t in enumerate(xs)}, "avg")
 
     meta = {
         "family": "hrnetv2",
@@ -540,13 +513,7 @@ def build_hrnetv2(preset: str, label: str | None = None) -> LayerGraph:
         "modules": [1, *cfg["modules"]],
         "stage_levels": [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3]],
         "fusions": [],
-        "head": {
-            "levels": [0, 1, 2, 3],
-            "pooled": False,
-            "in_channels": total,
-            "out_channels": total,
-            "sources": {"0": 4, "1": 4, "2": 4, "3": 4},
-        },
+        "head": head_meta,
     }
     _check_graph(b.nodes, out)
     return LayerGraph(tuple(b.nodes), out, meta)

@@ -12,11 +12,11 @@ tensor files here and by weight files in :mod:`uhrkit.runtime`.
 
 Convolutions with a kernel larger than 1x1, or a stride, work through the
 output one band of rows at a time, and a band's temporary (the shift-GEMM
-product, or the strided path's im2col columns) stays within
-``BAND_BYTES`` (16 MiB) whatever the map size.  Full-map temporaries
-reached 305 MB at the 1x3x1024x2048 cost input, and allocating and
-faulting in those pages cost about a quarter of a forward pass's wall
-time.  Every output element is still the same dot product over input
+product, or the strided path's im2col columns or staged input rows,
+whichever is larger) stays within ``BAND_BYTES`` (16 MiB) whatever the
+map size.  Full-map temporaries reached 305 MB at the 1x3x1024x2048 cost
+input, and allocating and faulting in those pages cost about a quarter
+of a forward pass's wall time.  Every output element is still the same dot product over input
 channels, with the kernel offsets added in the same order; the GEMMs
 only change shape, which for a batch of one left every output bit of
 the reference presets unchanged.  That holds only while every band has
@@ -28,7 +28,8 @@ the last bit, so the band split is part of the output's bytes.  Each
 band's input rows, with the kernel's halo, are staged zero-padded into
 one band-sized buffer whose zero border is written once per call: no
 padded copy of the whole input exists (the VJP and ``conv_windows``
-still pad the whole input).
+still pad the whole input).  The strided path stages every band, with
+``pad=0`` as well, so its im2col always reads one staged band.
 
 The shift-GEMM sums a band's kernel offsets in an accumulator laid out
 at the padded width, where each offset is one contiguous flat shift of
@@ -93,7 +94,7 @@ class ChecksumMismatch(ValueError):
 # convolution
 
 # Byte budget for the temporary of one band of output rows: the shift-GEMM
-# product or the strided path's im2col columns.
+# product, or the strided path's im2col columns or staged input rows.
 BAND_BYTES = 16 * 2**20
 
 
@@ -118,9 +119,9 @@ def _band_rows(row_bytes: int, halo: int, rows: int) -> int:
     return max(1, min(rows, BAND_BYTES // max(row_bytes, 1) - halo))
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, wo: int, r0: int, r1: int) -> np.ndarray:
-    """Columns for output rows ``r0:r1`` of a conv over the padded input
-    ``xp``, shaped (N, C*k*k, (r1-r0)*wo), entries ordered (c, ki, kj).
+def _im2col(xp: np.ndarray, k: int, stride: int, wo: int, rows: int) -> np.ndarray:
+    """Columns for the first ``rows`` output rows of a conv over the padded
+    input ``xp``, shaped (N, C*k*k, rows*wo), entries ordered (c, ki, kj).
 
     1x1 stride-1 convolutions reshape in place; larger kernels copy each
     kernel offset's strided patch straight into its slot of the column
@@ -128,13 +129,11 @@ def _im2col(xp: np.ndarray, k: int, stride: int, wo: int, r0: int, r1: int) -> n
     """
     n, c = xp.shape[:2]
     if k == 1 and stride == 1:
-        return xp[:, :, r0:r1].reshape(n, c, (r1 - r0) * xp.shape[3])
-    rows = r1 - r0
+        return xp[:, :, :rows].reshape(n, c, rows * xp.shape[3])
     cols = np.empty((n, c, k * k, rows, wo), dtype=xp.dtype)
     for ki in range(k):
-        top = ki + stride * r0
         for kj in range(k):
-            cols[:, :, ki * k + kj] = xp[:, :, top : top + stride * rows : stride, kj : kj + stride * wo : stride]
+            cols[:, :, ki * k + kj] = xp[:, :, ki : ki + stride * rows : stride, kj : kj + stride * wo : stride]
     return cols.reshape(n, c * k * k, rows * wo)
 
 
@@ -219,19 +218,17 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
         return _conv_shift_gemm(x, w, pad, ho, wo)
     wm = w.reshape(cout, -1)
     if kh == 1 and stride == 1 and not pad:
-        return (wm @ _im2col(x, 1, 1, wo, 0, ho)).reshape(n, cout, ho, wo)
+        return (wm @ _im2col(x, 1, 1, wo, ho)).reshape(n, cout, ho, wo)
     y = np.empty((n, cout, ho, wo), dtype=x.dtype)
     yf = y.reshape(n, cout, ho * wo)
-    step = _band_rows(n * cin * kh * kw * wo * x.itemsize, 0, ho)
-    xb = _band_buffer(x, stride * (step - 1) + kh, pad) if pad else None
+    # per output row, the columns or (for a 1x1 conv) the staged input rows
+    step = _band_rows(n * cin * max(kh * kw * wo, stride * (wd + 2 * pad)) * x.itemsize, 0, ho)
+    xb = _band_buffer(x, stride * (step - 1) + kh, pad)
     for r0 in range(0, ho, step):
-        r1 = min(r0 + step, ho)
-        if pad:
-            band = _stage(x, xb[:, :, : stride * (r1 - r0 - 1) + kh], stride * r0, pad)
-            cols = _im2col(band, kh, stride, wo, 0, r1 - r0)
-        else:
-            cols = _im2col(x, kh, stride, wo, r0, r1)
-        np.matmul(wm, cols, out=yf[:, :, r0 * wo : r1 * wo])
+        rows = min(step, ho - r0)
+        band = _stage(x, xb[:, :, : stride * (rows - 1) + kh], stride * r0, pad)
+        cols = _im2col(band, kh, stride, wo, rows)
+        np.matmul(wm, cols, out=yf[:, :, r0 * wo : (r0 + rows) * wo])
         del cols  # before the next band's columns are gathered
     return y
 
@@ -245,7 +242,7 @@ def conv2d_vjp(
     if pad is None:
         pad = kh // 2
     ho, wo = dy.shape[2], dy.shape[3]
-    cols = _im2col(_pad(x, pad), kh, stride, wo, 0, ho)  # (n, cin*k*k, ho*wo)
+    cols = _im2col(_pad(x, pad), kh, stride, wo, ho)  # (n, cin*k*k, ho*wo)
     dy_mat = dy.reshape(n, cout, ho * wo)
 
     dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)

@@ -11,7 +11,7 @@ gradient checker's replay: it walks a shaped
 arrays.  Each node's arithmetic is one call of a :mod:`uhrkit.ops`
 primitive; the walk only picks the buffer each result goes into.  The
 reverse sweep, :func:`run_backward`, is the only reverse-mode engine and
-mirrors the walk with the matching VJPs.
+mirrors the walk with the matching VJPs, over the executor's parameters.
 
 Gradient verification compares the reverse-mode gradients against central
 differences ``(f(t+eps) - f(t-eps)) / (2 eps)`` of the scalar verification
@@ -408,28 +408,23 @@ def run_forward(
     check_finite: bool = False,
 ) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
     """Execute the graph in topological order; ``x`` is never modified.
+    An unshaped graph is shaped from ``x`` first, so the input and every
+    node's output are always checked.
 
     With ``keep_activations`` every node's output is retained (needed for
     the reverse sweep); otherwise buffers are reused and freed as soon as
     their last consumer has run.
     """
+    if not graph.shaped:
+        graph = infer_shapes(graph, tuple(x.shape))
     want = graph.nodes[0].out_shape
-    if want is not None and tuple(x.shape) != tuple(want):
+    if tuple(x.shape) != want:
         raise ShapeMismatch(f"input shape {x.shape} does not match the graph's {want}")
     acts = {graph.input_id: x}
     out, _ = _Exec(graph, store, x.dtype).walk(
         graph.nodes[1:], acts, keep=keep_activations, check_finite=check_finite
     )
     return out, (acts if keep_activations else None)
-
-
-def forward(graph: LayerGraph, store: WeightStore, x: Tensor | np.ndarray) -> Tensor:
-    """Shape-checked forward pass; infers shapes on the fly when needed."""
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if not graph.shaped:
-        graph = infer_shapes(graph, tuple(arr.shape))
-    out, _ = run_forward(graph, store, arr)
-    return Tensor(out)
 
 
 def run_backward(
@@ -445,8 +440,7 @@ def run_backward(
     gradient w.r.t. the graph input, and the output gradients of the nodes
     named in ``collect`` (the gradient checker uses these as sensitivities).
     """
-    dtype = out_grad.dtype
-    params = {name: store.arrays[name].astype(dtype, copy=False) for name in store.arrays}
+    ex = _Exec(graph, store, out_grad.dtype)
     grads: dict[str, np.ndarray] = {graph.output_id: out_grad}
     pgrads: dict[str, np.ndarray] = {}
     collected: dict[str, np.ndarray] = {}
@@ -464,27 +458,18 @@ def run_backward(
         if collect and node.id in collect:
             collected[node.id] = g
         ins = [acts[i] for i in node.inputs]
+        # each parameter gradient is stored as a sum from zero, which turns
+        # a -0.0 into +0.0
         if node.kind == "conv":
             a = node.attrs
-            w = params[f"{node.id}.w"]
-            dx, dw = ops.conv2d_vjp(ins[0], w, a["stride"], a["pad"], g)
+            dx, dw = ops.conv2d_vjp(ins[0], ex.params[f"{node.id}.w"], a["stride"], a["pad"], g)
             send(node.inputs[0], dx)
-            pgrads[f"{node.id}.w"] = pgrads.get(f"{node.id}.w", 0) + dw
+            pgrads[f"{node.id}.w"] = 0 + dw
         elif node.kind == "bn":
-            p = node.id
-            dx, dg, db, dm, dv = ops.batchnorm_vjp(
-                ins[0],
-                params[f"{p}.gamma"],
-                params[f"{p}.beta"],
-                params[f"{p}.mean"],
-                params[f"{p}.var"],
-                ops.BN_EPS,
-                g,
-            )
+            dx, *dps = ops.batchnorm_vjp(ins[0], *ex.bn_params(node.id), ops.BN_EPS, g)
             send(node.inputs[0], dx)
-            for suffix, d in (("gamma", dg), ("beta", db), ("mean", dm), ("var", dv)):
-                key = f"{p}.{suffix}"
-                pgrads[key] = pgrads.get(key, 0) + d
+            for suffix, d in zip(("gamma", "beta", "mean", "var"), dps):
+                pgrads[f"{node.id}.{suffix}"] = 0 + d
         elif node.kind == "relu":
             send(node.inputs[0], ops.relu_vjp(ins[0], g))
         elif node.kind == "upsample":

@@ -124,13 +124,32 @@ def test_cost_query_stdout_is_pinned(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
-def test_export_file_is_pinned(tmp_path, capsys):
-    """The exported graph file of the paper's preset, byte for byte."""
+# SHA-256 of each preset's `export` file at the cost input: node ids, order,
+# attrs, roles, shapes and meta, byte for byte
+EXPORT_DIGESTS = {
+    "uhrnet-w48": "2fe5eea7cb058ce1a5f43267f7840f2475f1b95e30434ff5aae2618104f249a3",
+    "uhrnet-w18-small": "7e5473bbf94fbd4528c8317b19748d6c0ad4a313d12f6bd0a203c664069b8782",
+    "uhrnet-w18-small-va": "1e6686afc9afee51fa68115f42ada315556d685d5304e5ec4ac50e107cc1fbee",
+    "uhrnet-w18-small-vb": "5e34b3960a30c3a75045069b0e620be5c5fb57e01af18b0c27f961a27360e0d2",
+    "uhrnet-w18-small-vc": "345b975f8893c734635ebafbb47dff8c936360d84c5e282dc34d49233c43def5",
+    "uhrnet-w18-small-vd": "5094511203545a99556440bb829ecb221354383e390b22ea25a0d46aa3b3b7c9",
+    "uhrnet-w18-small-ve": "84124b77eb6654e740bbed3f6269640cdd2afbc1531faf146cf96632ef3bd9f2",
+    "uhrnet-w18-small-vf": "409c811ca249266fcaf882907110930c91ff50dbb23250891912c0922f1d0716",
+    "uhrnet-w18-small-vg": "3c8f3f5cc01ee1e30c9d60e44cc85f242c7c24ee4a20a845d23e88bc4d8c5de4",
+    "uhrnet-w18-small-vh": "87e443df8db9dde5616ed036c7f8e561e9fda3e8f235b679fb78816449f026d3",
+    "hrnetv2-w18-small-v1": "c0d2a36646c0d1d0b57960109dd42dfdb3b61b80de8da565138a489bcc67db05",
+    "hrnetv2-w18-small-v2": "4da8f2d26aa49aa4fcff7b0070dc96e0a94cf76bf6d239eb568ba027c4a1f066",
+    "hrnetv2-w48": "1a3a37775012e9c8101dc4f07d979c72487ffad874513f7a26ae4dfd11a1047e",
+}
+
+
+@pytest.mark.parametrize("preset", list(EXPORT_DIGESTS))
+def test_export_file_is_pinned(tmp_path, capsys, preset):
+    """Every preset's exported graph file, byte for byte."""
     out = tmp_path / "g.json"
-    code, _, _ = run(capsys, "export", "--preset", "uhrnet-w18-small", "--out", str(out))
+    code, _, _ = run(capsys, "export", "--preset", preset, "--out", str(out))
     assert code == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "7e5473bbf94fbd4528c8317b19748d6c0ad4a313d12f6bd0a203c664069b8782"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_DIGESTS[preset]
 
 
 def test_summarize_structure(capsys):

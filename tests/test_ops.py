@@ -97,7 +97,8 @@ def test_conv_matches_naive_oracle():
         want = naive_conv2d(x, w, stride)
         assert np.max(np.abs(got - want)) < 1e-12
 
-    # Budgets of two output rows per band, so 7 output rows split 2+2+2+1.
+    # Budgets of two output rows per band, so 7 output rows split 2+2+2+1
+    # (one row per band for 1x1 stride 2, whose staged input rows are larger).
     for n, k, stride in [(1, 3, 1), (1, 3, 2), (1, 1, 2), (1, 1, 1), (2, 3, 1), (2, 3, 2)]:
         cin, cout, wd = 3, 4, 6
         h = 7 * stride
@@ -134,6 +135,22 @@ def test_conv_temporaries_stay_within_band_budget(stride):
         tracemalloc.stop()
     assert y.shape == (1, 64, 256 // stride, 512 // stride)
     # no padded copy of the input: only bands of it are staged
+    assert peak <= out + 2 * ops.BAND_BYTES
+
+
+def test_strided_1x1_conv_stages_within_band_budget():
+    # a 1x1 stride-2 band stages twice as many input rows as it has output
+    # rows, at twice the width: the staged rows, not the columns, set the band
+    x = _rng(5).normal(size=(1, 64, 256, 512)).astype(np.float32)
+    w = _rng(6).normal(size=(64, 64, 1, 1)).astype(np.float32)
+    out = 64 * 128 * 256 * x.itemsize
+    tracemalloc.start()
+    try:
+        y = ops.conv2d_fwd(x, w, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (1, 64, 128, 256)
     assert peak <= out + 2 * ops.BAND_BYTES
 
 

@@ -7,11 +7,17 @@ import pytest
 
 from uhrkit import analysis, ops, presets, runtime
 from uhrkit.dsl import parse_structure
-from uhrkit.graph import NetworkConfig, build_uhrnet, export_graph, import_graph, infer_shapes
+from uhrkit.graph import (
+    IndivisibleInput,
+    NetworkConfig,
+    build_uhrnet,
+    export_graph,
+    import_graph,
+    infer_shapes,
+)
 from uhrkit.ops import ChecksumMismatch, FormatError
 from uhrkit.runtime import (
     WeightMissing,
-    forward,
     gradcheck,
     init_weights,
     load_weights,
@@ -160,7 +166,7 @@ def test_missing_weight_rejected():
     store = init_weights(g, 0)
     del store.arrays["head.conv.conv.w"]
     with pytest.raises(WeightMissing):
-        forward(g, store, np.zeros((1, 3, 64, 64), dtype=np.float32))
+        run_forward(g, store, np.zeros((1, 3, 64, 64), dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +176,12 @@ def test_missing_weight_rejected():
 def test_forward_micro_shape_and_determinism():
     g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
     store = init_weights(g, 42)
-    x = verification_input(presets.MICRO_INPUT_SHAPE, 42)
-    out1 = forward(g, store, x)
-    out2 = forward(g, store, x)
+    x = verification_input(presets.MICRO_INPUT_SHAPE, 42).data
+    out1, _ = run_forward(g, store, x)
+    out2, _ = run_forward(g, store, x)
     assert out1.shape == (1, 62, 16, 16)  # 15.5 * 4 channels
-    assert np.array_equal(out1.data, out2.data)
-    assert np.isfinite(out1.data).all()
+    assert np.array_equal(out1, out2)
+    assert np.isfinite(out1).all()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -300,9 +306,34 @@ def test_forward_zero_convs_give_zero_output():
     for name in store.arrays:
         if name.endswith(".w"):
             store.arrays[name] = np.zeros_like(store.arrays[name])
-    x = verification_input((1, 3, 64, 64), 5)
-    out = forward(g, store, x)
-    assert np.array_equal(out.data, np.zeros_like(out.data))
+    x = verification_input((1, 3, 64, 64), 5).data
+    out, _ = run_forward(g, store, x)
+    assert np.array_equal(out, np.zeros_like(out))
+
+
+def test_run_forward_shapes_an_unshaped_graph():
+    # an unshaped graph is shaped from the input, so the input is checked
+    g = presets.build_micro()
+    store = init_weights(g, 0)
+    x = verification_input(presets.MICRO_INPUT_SHAPE, 0).data
+    out, _ = run_forward(g, store, x)
+    shaped, _ = run_forward(infer_shapes(g, x.shape), store, x)
+    assert out.tobytes() == shaped.tobytes()
+    with pytest.raises(IndivisibleInput):
+        run_forward(g, store, np.zeros((1, 3, 80, 80), dtype=np.float32))
+
+
+def test_parameter_gradients_hold_no_negative_zero():
+    # the reverse sweep stores each parameter gradient as a sum from zero;
+    # a VJP that sums only -0.0 terms would otherwise leave a negative zero,
+    # equal in value to +0.0 but not in bytes
+    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
+    store = init_weights(g, 7).astype(np.float64)
+    x = verification_input(presets.MICRO_INPUT_SHAPE, 7).data.astype(np.float64)
+    out, acts = run_forward(g, store, x, keep_activations=True)
+    pgrads, _, _ = run_backward(g, store, acts, np.full(out.shape, 1.0 / out.size))
+    assert len(pgrads) == len(store.arrays)
+    assert [name for name, d in pgrads.items() if np.signbit(d[d == 0]).any()] == []
 
 
 def test_forward_rejects_wrong_input_shape():

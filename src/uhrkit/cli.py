@@ -218,8 +218,9 @@ def cmd_forward(args) -> int:
     else:
         store = runtime.init_weights(graph, args.seed)
     x = ops.read_tensor(args.input_file).data
-    limiter = runtime._blas_limiter()  # output bytes depend on the BLAS thread count
-    threads = runtime._blas_thread_count(limiter)
+    limiter = runtime._blas_limiter()
+    threads = runtime._blas_thread_count(limiter)  # the lanes follow it
+    lanes = runtime._forward_lanes(limiter)
     start = time.perf_counter()
     out, _ = runtime.run_forward(graph, store, x)
     elapsed = time.perf_counter() - start
@@ -236,12 +237,16 @@ def cmd_forward(args) -> int:
             "finite": finite,
             "blas_limiter": limiter,
             "blas_threads": threads,
+            "lanes": lanes,
         }
         print(json.dumps(doc))
     else:
         shape = "x".join(map(str, out.shape))
         blas = f"BLAS limiter {limiter}, threads {threads or 'unknown'}"
-        print(f"forward ok: output {shape} {out.dtype} in {elapsed:.2f}s ({blas}) -> {args.out_file}")
+        print(
+            f"forward ok: output {shape} {out.dtype} in {elapsed:.2f}s on {lanes} "
+            f"lane{'s' * (lanes > 1)} ({blas}) -> {args.out_file}"
+        )
     return EXIT_OK
 
 

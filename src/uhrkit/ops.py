@@ -16,28 +16,27 @@ product, or the strided path's im2col columns or staged input rows,
 whichever is larger) stays within ``BAND_BYTES`` (16 MiB) whatever the
 map size.  Full-map temporaries reached 305 MB at the 1x3x1024x2048 cost
 input, and allocating and faulting in those pages cost about a quarter
-of a forward pass's wall time.  Every output element is still the same dot product over input
-channels, with the kernel offsets added in the same order; the GEMMs
-only change shape, which for a batch of one left every output bit of
-the reference presets unchanged.  That holds only while every band has
-more than one output column: a strided band one column wide is a
-matrix-vector product, which OpenBLAS rounds unlike a wider GEMM, so a
-map of ``wo == 1`` gets other float32 bytes from one band than from
-several.  A batched GEMM of another shape may also round differently in
-the last bit, so the band split is part of the output's bytes.  Each
-band's input rows, with the kernel's halo, are staged zero-padded into
-one band-sized buffer whose zero border is written once per call: no
-padded copy of the whole input exists (the VJP and ``conv_windows``
-still pad the whole input).  The strided path stages every band, with
-``pad=0`` as well, so its im2col always reads one staged band.
+of a forward pass's wall time.  Every output element is still the same
+dot product over input channels, with the kernel offsets added in the
+same order, but the band split is part of the output's bytes: OpenBLAS
+rounds a GEMM's last columns by the GEMM's width, so a batched GEMM of
+another shape may differ in the last bit.  Narrow maps show it in
+float32 too: a strided band one column wide is a matrix-vector product,
+and at stride 2 maps 2-24 columns wide gave other float32 bytes from
+one-row bands than from one band.  The reference presets keep their
+bytes only because their narrow maps fit one band.  Each band's input
+rows, with the kernel's halo, are staged zero-padded into one band-sized
+buffer whose zero border is written once per call: no padded copy of the
+whole input exists (the VJP and ``conv_windows`` still pad the whole
+input).  The strided path stages every band, with ``pad=0`` as well, so
+its im2col always reads one staged band.
 
 The shift-GEMM sums a band's kernel offsets in an accumulator laid out
 at the padded width, where each offset is one contiguous flat shift of
 the product rather than a strided 2-D window; the sum starts from zero
-as before, and each band's valid columns are copied out.  The product is
-released before the next band's GEMM, so the accumulator (one band of
-output rows at the padded width, a ``1/k**2`` share of the product) and
-one product stay within two bands' budget.
+as before, and each band's valid columns are copied out.  The
+accumulator is one band of output rows at the padded width, a
+``1/k**2`` share of the product.
 
 Every forward primitive but the convolution takes an ``out=`` array.  The
 executor picks it: the conv output a fused batchnorm overwrites, an input
@@ -48,6 +47,37 @@ go.  The upsampling gathers with ``np.take`` and works in place, through
 blocks of channels whose temporaries stay cache-sized
 (``UP2_BLOCK_BYTES``, 2 MiB of output per block): no full-map upsample
 temporary exists either.
+
+Lanes.  :func:`~uhrkit.runtime.run_forward` holds BLAS at one thread and
+opens one lane per BLAS thread it found: the calling thread plus a
+thread pool, reached here through one context variable and joined when
+the walk ends.  Elsewhere (direct calls, the gradient checker's replay)
+there is one lane.  The forward primitives split their work across the
+lanes only where the split keeps every output byte for any lane count:
+
+* batchnorm, ReLU and add by channels, the upsampling by its channel
+  blocks: each element is computed as before;
+* a convolution's GEMM, once it reaches ``SPLIT_MACS``, is cut into
+  ``GEMM_PARTS`` output-channel parts, band by band, inside a forward's
+  lanes however many there are.  A lane takes a part: for a stride-1
+  kernel it stages every band into its own buffer and runs its channels'
+  GEMM, offset sums and copy-out; on the strided path the lanes first
+  gather each band's columns by input channels, then multiply by output
+  channels.  The cut depends on the shape alone, never on the lane count,
+  because it is not byte-neutral in general: with OpenBLAS's SkylakeX
+  kernels a GEMM cut by rows gave other float64 bytes where its width is
+  not a multiple of 8, and small pieces take other kernels altogether.
+  The reference presets' outputs (float32 and float64 at 1x3x256x512,
+  float32 at 1x3x1024x2048) match the uncut GEMMs byte for byte.  Outside
+  a forward every GEMM stays whole.
+
+Work below ``SPLIT_MACS`` multiply-accumulates or ``SPLIT_BYTES`` of
+output runs on the calling thread alone, as before, since waking a lane
+costs about 0.1 ms inside a pass.  Lanes allocate nothing: the calling
+thread allocates the shared product, accumulator and columns and each
+lane's staging and upsample buffers (``_per_lane``) and hands out views.
+A lane calls only numpy and this module's private helpers, never a
+public function.
 
 Conventions:
 
@@ -61,8 +91,11 @@ Conventions:
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import struct
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +130,87 @@ class ChecksumMismatch(ValueError):
 # product, or the strided path's im2col columns or staged input rows.
 BAND_BYTES = 16 * 2**20
 
+# Work below these sizes runs on the calling thread alone: a convolution of
+# fewer multiply-accumulates, an elementwise pass with a smaller output.
+SPLIT_MACS = 16 * 2**20
+SPLIT_BYTES = 4 * 2**20
+
+# Output-channel parts of a cut GEMM (see ``_gemm_parts``), whatever the
+# lane count.
+GEMM_PARTS = 2
+
+# The forward's lanes, set by ``_open_lanes``: a pool for every lane but the
+# calling thread, and the lane count; 0 outside a forward.
+_LANES: ContextVar[tuple] = ContextVar("uhrkit_lanes", default=(None, 0))
+
+
+@contextlib.contextmanager
+def _open_lanes(n: int):
+    """``n`` lanes for the primitives called inside: the calling thread and
+    a pool of ``n - 1`` threads, joined before the block is left."""
+    # imported here: it costs 0.6 MiB of resident memory, which processes
+    # that never run a forward on lanes (cost queries) need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with contextlib.ExitStack() as stack:
+        pool = stack.enter_context(ThreadPoolExecutor(n - 1, thread_name_prefix="uhrkit-lane")) if n > 1 else None
+        token = _LANES.set((pool, n))
+        try:
+            yield
+        finally:
+            _LANES.reset(token)
+
+
+def _lanes_for(parts: int, work: int, cutoff: int) -> int:
+    """Lanes for ``parts`` independent parts of ``work`` units: one below
+    ``cutoff``, else as many as there are lanes and parts."""
+    return max(1, min(_LANES.get()[1], parts)) if work >= cutoff else 1
+
+
+def _gemm_parts(macs: int) -> int:
+    """Output-channel parts a GEMM of ``macs`` is cut into: ``GEMM_PARTS``
+    from ``SPLIT_MACS`` up, inside a forward's lanes only, however many
+    there are.  Elsewhere (direct calls, the gradient checker's replay)
+    every GEMM stays whole, as before the lanes."""
+    return GEMM_PARTS if macs >= SPLIT_MACS and _LANES.get()[1] > 0 else 1
+
+
+def _each(fn, parts: list[tuple]) -> None:
+    """``fn(*args)`` for every ``args`` in ``parts``, in order."""
+    for args in parts:
+        fn(*args)
+
+
+def _into(fn, out, *args) -> None:
+    """``fn(*args, out=out)``: a ufunc or ``np.matmul`` as a lane part."""
+    fn(*args, out=out)
+
+
+def _deal(fn, parts: list[tuple], lanes: int) -> None:
+    """``fn(*args)`` for every ``args`` in ``parts``, dealt round-robin to
+    ``lanes`` lanes; the first lane is the calling thread.  Returns when
+    every part is done."""
+    if lanes == 1:
+        _each(fn, parts)
+        return
+    jobs = [functools.partial(_each, fn, parts[i::lanes]) for i in range(lanes)]
+    pool = _LANES.get()[0]
+    futures = [pool.submit(job) for job in jobs[1:]]
+    try:
+        jobs[0]()
+    finally:
+        for f in futures:
+            f.exception()  # waits, also when the calling thread's share raised
+    for f in futures:
+        f.result()
+
+
+def _spans(total: int, parts: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` ranges cutting ``range(total)`` into ``parts`` near-equal
+    pieces, none empty."""
+    parts = max(1, min(parts, total))
+    return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
+
 
 def _pad(x: np.ndarray, pad: int) -> np.ndarray:
     """``x`` zero-padded by ``pad`` on both spatial axes."""
@@ -119,38 +233,51 @@ def _band_rows(row_bytes: int, halo: int, rows: int) -> int:
     return max(1, min(rows, BAND_BYTES // max(row_bytes, 1) - halo))
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, wo: int, rows: int) -> np.ndarray:
+def _im2col(
+    xp: np.ndarray, k: int, stride: int, wo: int, rows: int, buf: np.ndarray | None = None
+) -> np.ndarray:
     """Columns for the first ``rows`` output rows of a conv over the padded
-    input ``xp``, shaped (N, C*k*k, rows*wo), entries ordered (c, ki, kj).
+    input ``xp``, shaped (N, C*k*k, rows*wo), entries ordered (c, ki, kj);
+    written into ``buf`` (N, C*k*k, at least rows*wo) when given.
 
-    1x1 stride-1 convolutions reshape in place; larger kernels copy each
+    1x1 stride-1 convolutions reshape in place unless ``buf`` is given;
+    other kernels copy each
     kernel offset's strided patch straight into its slot of the column
     buffer, which is far cheaper than a transposed fancy-index gather.
     """
     n, c = xp.shape[:2]
-    if k == 1 and stride == 1:
+    if k == 1 and stride == 1 and buf is None:
         return xp[:, :, :rows].reshape(n, c, rows * xp.shape[3])
-    cols = np.empty((n, c, k * k, rows, wo), dtype=xp.dtype)
+    if buf is None:
+        buf = np.empty((n, c * k * k, rows * wo), dtype=xp.dtype)
+    cols = buf[:, :, : rows * wo].reshape(n, c, k * k, rows, wo)
     for ki in range(k):
         for kj in range(k):
             cols[:, :, ki * k + kj] = xp[:, :, ki : ki + stride * rows : stride, kj : kj + stride * wo : stride]
     return cols.reshape(n, c * k * k, rows * wo)
 
 
-def _band_buffer(x: np.ndarray, rows: int, pad: int) -> np.ndarray:
-    """A buffer for ``rows`` padded input rows of ``x``; its border columns
-    are zero, its rows are filled by ``_stage``."""
+def _per_lane(lanes: int, shape: tuple[int, ...], dtype) -> list[np.ndarray]:
+    """One uninitialised ``shape`` buffer per lane, allocated here by the
+    calling thread."""
+    return [np.empty(shape, dtype=dtype) for _ in range(lanes)]
+
+
+def _band_buffers(x: np.ndarray, rows: int, pad: int, lanes: int) -> list[np.ndarray]:
+    """A buffer per lane for ``rows`` padded input rows of ``x``; the border
+    columns are zero, the rows are filled by ``_stage``."""
     n, c, _, w = x.shape
-    buf = np.empty((n, c, rows, w + 2 * pad), dtype=x.dtype)
-    buf[..., :pad] = 0
-    buf[..., pad + w :] = 0
-    return buf
+    bufs = _per_lane(lanes, (n, c, rows, w + 2 * pad), x.dtype)
+    for buf in bufs:
+        buf[..., :pad] = 0
+        buf[..., pad + w :] = 0
+    return bufs
 
 
 def _stage(x: np.ndarray, buf: np.ndarray, top: int, pad: int) -> np.ndarray:
     """``buf`` filled with rows ``top:top + len`` of ``x`` zero-padded by
     ``pad``: the rows inside ``x`` are copied, the rows above or below it
-    zeroed.  The border columns stay as ``_band_buffer`` left them."""
+    zeroed.  The border columns stay as ``_band_buffers`` left them."""
     h, w = x.shape[2], x.shape[3]
     lo = min(max(0, pad - top), buf.shape[2])
     hi = max(lo, min(buf.shape[2], pad - top + h))
@@ -158,6 +285,29 @@ def _stage(x: np.ndarray, buf: np.ndarray, top: int, pad: int) -> np.ndarray:
     buf[:, :, hi:] = 0
     buf[:, :, lo:hi, pad : pad + w] = x[:, :, top + lo - pad : top + hi - pad]
     return buf
+
+
+def _shift_bands(x, wm, xb, prod, acc, y, bands, pad, k) -> None:
+    """A stride-1 ``k``x``k`` convolution into ``y``, band by band, for the
+    output channels whose weight rows ``wm`` holds in (offset, channel)
+    order: each band's padded input rows staged into ``xb``, the GEMM into
+    ``prod``, the offset sums in ``acc``, then the copy-out."""
+    n, c, _, wd = x.shape
+    cj, wp, wo = acc.shape[1], wd + 2 * pad, y.shape[3]
+    for r0, rows in bands:
+        hb = rows + k - 1
+        band = _stage(x, xb[:, :, :hb], r0, pad)
+        t = np.matmul(wm, band.reshape(n, c, hb * wp), out=prod[:, :, : hb * wp])
+        t = t.reshape(n, k * k, cj, hb * wp)
+        # the last row needs only its wo valid columns, which keeps the
+        # largest shift inside the product
+        m = (rows - 1) * wp + wo
+        a = acc[:, :, :m]
+        np.add(t[:, 0, :, :m], 0, out=a)  # 0 + t, as from a zeroed sum: -0.0 becomes +0.0
+        for i in range(1, k * k):
+            shift = (i // k) * wp + i % k
+            a += t[:, i, :, shift : shift + m]
+        y[:, :, r0 : r0 + rows] = acc[:, :, : rows * wp].reshape(n, cj, rows, wp)[..., :wo]
 
 
 def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, ho: int, wo: int) -> np.ndarray:
@@ -172,30 +322,40 @@ def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, ho: int, wo: int) -
     reads the product at ``+ ki * wp + kj``: every offset is one contiguous
     flat shift.  The ``wo`` valid columns of each row are copied out per
     band.
+
+    A cut GEMM (see ``_gemm_parts``) gives each of its output-channel
+    parts to a lane, which works through every band on its own: it stages
+    the band into its own buffer and writes only its parts' slices of the
+    one product, accumulator and output.
     """
     n, c, _, wd = x.shape
-    cout, _, kh, kw = w.shape
+    cout, _, k, _ = w.shape
     wp = wd + 2 * pad
-    wm = np.ascontiguousarray(w.reshape(cout, c, kh * kw).transpose(2, 0, 1)).reshape(kh * kw * cout, c)
+    w3 = w.reshape(cout, c, k * k).transpose(2, 0, 1)  # (offset, out channel, in channel)
     y = np.empty((n, cout, ho, wo), dtype=x.dtype)
-    step = _band_rows(n * kh * kw * cout * wp * x.itemsize, kh - 1, ho)
+    step = _band_rows(n * k * k * cout * wp * x.itemsize, k - 1, ho)
+    bands = [(r0, min(step, ho - r0)) for r0 in range(0, ho, step)]
+    macs = n * cout * ho * wo * c * k * k
+    groups = _spans(cout, _gemm_parts(macs))
+    lanes = _lanes_for(len(groups), macs, SPLIT_MACS)
+    xbs = _band_buffers(x, step + k - 1, pad, lanes)
+    prod = np.empty((n, k * k * cout, (step + k - 1) * wp), dtype=x.dtype)
     acc = np.empty((n, cout, step * wp), dtype=x.dtype)
-    xb = _band_buffer(x, step + kh - 1, pad)
-    for r0 in range(0, ho, step):
-        rows = min(step, ho - r0)
-        band = _stage(x, xb[:, :, : rows + kh - 1], r0, pad).reshape(n, c, (rows + kh - 1) * wp)
-        t = (wm @ band).reshape(n, kh * kw, cout, (rows + kh - 1) * wp)
-        # the last row needs only its wo valid columns, which keeps the
-        # largest shift inside the product
-        m = (rows - 1) * wp + wo
-        a = acc[:, :, :m]
-        np.add(t[:, 0, :, :m], 0, out=a)  # 0 + t, as from a zeroed sum: -0.0 becomes +0.0
-        for k in range(1, kh * kw):
-            shift = (k // kw) * wp + k % kw
-            a += t[:, k, :, shift : shift + m]
-        del t
-        y[:, :, r0 : r0 + rows] = acc[:, :, : rows * wp].reshape(n, cout, rows, wp)[..., :wo]
+    parts = [
+        (x, np.ascontiguousarray(w3[:, c0:c1]).reshape(-1, c), xbs[i % lanes], prod[:, k * k * c0 : k * k * c1],
+         acc[:, c0:c1], y[:, c0:c1], bands, pad, k)
+        for i, (c0, c1) in enumerate(groups)
+    ]  # fmt: skip
+    _deal(_shift_bands, parts, lanes)
     return y
+
+
+def _gather(x, xb, buf, r0, rows, wo, k, stride, pad) -> None:
+    """The columns of output rows ``r0:r0 + rows`` for the input channels
+    that ``x``, ``xb`` and ``buf`` hold: the band's rows staged into ``xb``,
+    then gathered into ``buf``."""
+    band = _stage(x, xb[:, :, : stride * (rows - 1) + k], stride * r0, pad)
+    _im2col(band, k, stride, wo, rows, buf)
 
 
 def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = None) -> np.ndarray:
@@ -217,19 +377,31 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
     if stride == 1 and kh > 1:
         return _conv_shift_gemm(x, w, pad, ho, wo)
     wm = w.reshape(cout, -1)
-    if kh == 1 and stride == 1 and not pad:
-        return (wm @ _im2col(x, 1, 1, wo, ho)).reshape(n, cout, ho, wo)
     y = np.empty((n, cout, ho, wo), dtype=x.dtype)
     yf = y.reshape(n, cout, ho * wo)
+    macs = n * cout * ho * wo * cin * kh * kw
+    if kh == 1 and stride == 1 and not pad:
+        # one GEMM over the whole map, cut into output-channel parts when large
+        xf = _im2col(x, 1, 1, wo, ho)
+        parts = [(np.matmul, yf[:, c0:c1], wm[c0:c1], xf) for c0, c1 in _spans(cout, _gemm_parts(macs))]
+        _deal(_into, parts, _lanes_for(len(parts), macs, SPLIT_MACS))
+        return y
     # per output row, the columns or (for a 1x1 conv) the staged input rows
     step = _band_rows(n * cin * max(kh * kw * wo, stride * (wd + 2 * pad)) * x.itemsize, 0, ho)
-    xb = _band_buffer(x, stride * (step - 1) + kh, pad)
+    xb = _band_buffers(x, stride * (step - 1) + kh, pad, 1)[0]
+    buf = np.empty((n, cin * kh * kw, step * wo), dtype=x.dtype)
+    # a cut GEMM gathers each band's columns by input channels, then
+    # multiplies by output channels, both across the lanes
+    groups, ins = _spans(cout, _gemm_parts(macs)), _spans(cin, _gemm_parts(macs))
+    lanes = _lanes_for(len(groups), macs, SPLIT_MACS)
+    kk = kh * kw
     for r0 in range(0, ho, step):
         rows = min(step, ho - r0)
-        band = _stage(x, xb[:, :, : stride * (rows - 1) + kh], stride * r0, pad)
-        cols = _im2col(band, kh, stride, wo, rows)
-        np.matmul(wm, cols, out=yf[:, :, r0 * wo : (r0 + rows) * wo])
-        del cols  # before the next band's columns are gathered
+        gather = [(x[:, c0:c1], xb[:, c0:c1], buf[:, kk * c0 : kk * c1], r0, rows, wo, kh, stride, pad) for c0, c1 in ins]
+        _deal(_gather, gather, min(lanes, len(ins)))
+        cols = buf[:, :, : rows * wo]
+        parts = [(np.matmul, yf[:, c0:c1, r0 * wo : (r0 + rows) * wo], wm[c0:c1], cols) for c0, c1 in groups]
+        _deal(_into, parts, lanes)
     return y
 
 
@@ -271,6 +443,24 @@ def _per_channel(v: np.ndarray) -> np.ndarray:
     return v.reshape(1, -1, 1, 1)
 
 
+def _channelwise(fn, out: np.ndarray, *args) -> np.ndarray:
+    """``fn(*args, out=out)``, cut by channels across the lanes when
+    ``out`` holds at least ``SPLIT_BYTES``: every array among ``args``
+    (maps and ``(1, C, 1, 1)`` per-channel vectors alike) is sliced along
+    axis 1 with ``out``."""
+    lanes = _lanes_for(out.shape[1], out.nbytes, SPLIT_BYTES)
+    if lanes == 1:
+        fn(*args, out=out)
+        return out
+    parts = [
+        (fn, *(a[:, c0:c1] if isinstance(a, np.ndarray) else a for a in (out, *args)))
+        for c0, c1 in _spans(out.shape[1], lanes)
+    ]
+    _deal(_into, parts, lanes)
+    return out
+
+
+
 def batchnorm_fwd(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -287,10 +477,16 @@ def batchnorm_fwd(
     for name, p in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
         if p.shape != (c,):
             raise ShapeMismatch(f"batchnorm {name} has shape {p.shape}, expected ({c},)")
-    scale = gamma / np.sqrt(var + eps)
-    y = np.multiply(x, _per_channel(scale), out=out)
-    y += _per_channel(beta - mean * scale)
-    return y
+    scale = _per_channel(gamma / np.sqrt(var + eps))
+    shift = _per_channel(beta) - _per_channel(mean) * scale
+    if out is None:
+        out = np.empty(x.shape, np.result_type(x, scale))
+    return _channelwise(_affine, out, x, scale, shift)
+
+
+def _affine(x, scale, shift, out) -> None:
+    np.multiply(x, scale, out=out)
+    out += shift
 
 
 def batchnorm_vjp(
@@ -323,7 +519,9 @@ def batchnorm_vjp(
 
 
 def relu_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.maximum(x, 0, out=out)
+    if out is None:
+        out = np.empty(x.shape, np.result_type(x, 0))
+    return _channelwise(np.maximum, out, x, 0)
 
 
 def relu_vjp(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -358,7 +556,8 @@ def bilinear_up2_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
     Works through blocks of channels whose temporaries stay within
     ``UP2_BLOCK_BYTES``, each block written straight into its slice of the
-    output."""
+    output.  The blocks are dealt to the lanes, each lane with its own
+    temporaries."""
     n, c, h, w = x.shape
     iy0, iy1, wy = _lerp_axis(h)
     ix0, ix1, wx = _lerp_axis(w)
@@ -367,22 +566,35 @@ def bilinear_up2_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     if out is None:
         out = np.empty((n, c, 2 * h, 2 * w), dtype=x.dtype)
     step = max(1, UP2_BLOCK_BYTES // max(n * 4 * h * w * x.itemsize, 1))
-    for c0 in range(0, c, step):
-        xb = x[:, c0 : c0 + step]
-        # the indices are in range, and "clip" lets take write into a strided out
-        rows = np.take(xb, iy0, axis=2, mode="clip")
-        rows *= 1 - wy
-        t = np.take(xb, iy1, axis=2, mode="clip")
-        t *= wy
-        rows += t
-        del t
-        y = np.take(rows, ix0, axis=3, out=out[:, c0 : c0 + step], mode="clip")
-        y *= 1 - wx
-        t = np.take(rows, ix1, axis=3, mode="clip")
-        t *= wx
-        y += t
-        del rows, t  # before the next block's temporaries
+    blocks = [(c0, min(c, c0 + step)) for c0 in range(0, c, step)]
+    lanes = _lanes_for(len(blocks), out.nbytes, SPLIT_BYTES)
+    # per lane, the row pass's output and one other temporary, flat
+    size = n * min(step, c) * 2 * h * w
+    temps = _per_lane(lanes, (3 * size,), x.dtype)
+    lerp = (iy0, iy1, 1 - wy, wy, ix0, ix1, 1 - wx, wx)
+    parts = [(x, out, c0, c1, temps[i % lanes], *lerp) for i, (c0, c1) in enumerate(blocks)]
+    _deal(_up2_block, parts, lanes)
     return out
+
+
+def _up2_block(x, out, c0, c1, temp, iy0, iy1, vy, wy, ix0, ix1, vx, wx) -> None:
+    """Channels ``c0:c1`` of the upsampling, into ``out``, with ``vy = 1 - wy``
+    and ``vx = 1 - wx``; ``temp`` holds the block's temporaries."""
+    xb = x[:, c0:c1]
+    n, s, h, w = xb.shape
+    half = n * s * 2 * h * w
+    rows = temp[:half].reshape(n, s, 2 * h, w)
+    # the indices are in range, and "clip" lets take write into a strided out
+    np.take(xb, iy0, axis=2, out=rows, mode="clip")
+    rows *= vy
+    t = np.take(xb, iy1, axis=2, out=temp[half : 2 * half].reshape(rows.shape), mode="clip")
+    t *= wy
+    rows += t
+    y = np.take(rows, ix0, axis=3, out=out[:, c0:c1], mode="clip")
+    y *= vx
+    t = np.take(rows, ix1, axis=3, out=temp[half : 3 * half].reshape(n, s, 2 * h, 2 * w), mode="clip")
+    t *= wx
+    y += t
 
 
 def _scatter_axis(dy: np.ndarray, i0, i1, w, n_in: int, axis: int) -> np.ndarray:
@@ -468,7 +680,9 @@ def concat_vjp(xs: list[np.ndarray], dy: np.ndarray) -> list[np.ndarray]:
 def add_fwd(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if x.shape != y.shape:
         raise ShapeMismatch(f"add needs matching shapes, got {x.shape} and {y.shape}")
-    return np.add(x, y, out=out)
+    if out is None:
+        out = np.empty(x.shape, np.result_type(x, y))
+    return _channelwise(np.add, out, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,9 @@ def run_forward(
     With ``keep_activations`` every node's output is retained (needed for
     the reverse sweep); otherwise buffers are reused and freed as soon as
     their last consumer has run.
+
+    The walk runs on one lane per BLAS thread (see :mod:`uhrkit.ops`), with
+    BLAS held at one thread meanwhile; the lanes' threads end with the call.
     """
     if not graph.shaped:
         graph = infer_shapes(graph, tuple(x.shape))
@@ -421,10 +424,18 @@ def run_forward(
     if tuple(x.shape) != want:
         raise ShapeMismatch(f"input shape {x.shape} does not match the graph's {want}")
     acts = {graph.input_id: x}
-    out, _ = _Exec(graph, store, x.dtype).walk(
-        graph.nodes[1:], acts, keep=keep_activations, check_finite=check_finite
-    )
+    ex = _Exec(graph, store, x.dtype)
+    limiter = _blas_limiter()
+    lanes = _forward_lanes(limiter)
+    with _blas_single_thread(limiter), ops._open_lanes(lanes):
+        out, _ = ex.walk(graph.nodes[1:], acts, keep=keep_activations, check_finite=check_finite)
     return out, (acts if keep_activations else None)
+
+
+def _forward_lanes(limiter: str) -> int:
+    """Lanes a forward opens: one per BLAS thread, or one when BLAS cannot
+    be held at a single thread."""
+    return max(1, _blas_thread_count(limiter)) if limiter != "none" else 1
 
 
 def run_backward(

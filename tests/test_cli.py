@@ -249,13 +249,14 @@ def test_forward_json_reports_dtype_time_and_finiteness(tmp_path, capsys):
         assert ("warning:" in err) is not finite
         limiter = runtime._blas_limiter()
         assert (doc["blas_limiter"], doc["blas_threads"]) == (limiter, runtime._blas_thread_count(limiter))
+        assert doc["lanes"] == runtime._forward_lanes(limiter) >= 1
     if limiter != "none":  # the count is read when the pass runs
         argv = ["forward", "--preset", "uhrnet-w18-small-va", "--input-file", str(xfile), "--out-file", str(yfile)]
         with runtime._blas_single_thread(limiter):
             doc = json.loads(run(capsys, *argv, "--json")[1])
             text = run(capsys, *argv)[1]
-        assert (doc["blas_limiter"], doc["blas_threads"]) == (limiter, 1)
-        assert f"(BLAS limiter {limiter}, threads 1)" in text
+        assert (doc["blas_limiter"], doc["blas_threads"], doc["lanes"]) == (limiter, 1, 1)
+        assert f"on 1 lane (BLAS limiter {limiter}, threads 1)" in text
 
 
 def test_forward_missing_weights_exit_4(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import contextlib
+import inspect
 import struct
+import threading
+import tracemalloc
 import zlib
 from dataclasses import astuple
 
@@ -522,3 +526,146 @@ def test_gradcheck_nan_difference_fails_its_tensor(monkeypatch):
     assert not rep.passed
     assert rep.to_json_dict()["nonfinite"] == bad.nonfinite
     assert "not finite" in rep.to_text()
+
+
+# ---------------------------------------------------------------------------
+# forward lanes
+
+needs_limiter = pytest.mark.skipif(
+    runtime._blas_limiter() == "none",
+    reason="no BLAS thread limiter on this machine (neither threadpoolctl nor numpy's OpenBLAS)",
+)
+
+
+@contextlib.contextmanager
+def blas_threads(n):
+    """BLAS set to ``n`` threads, and so ``run_forward`` to ``n`` lanes."""
+    limiter = runtime._blas_limiter()
+    if limiter == "threadpoolctl":
+        from threadpoolctl import threadpool_limits
+
+        with threadpool_limits(limits=n, user_api="blas"):
+            yield
+    else:
+        get, put = runtime._openblas_threads()
+        before = get()
+        put(n)
+        try:
+            yield
+        finally:
+            put(before)
+    assert runtime._blas_thread_count(limiter) >= 1
+
+
+def split_everything(monkeypatch, band_bytes=None):
+    monkeypatch.setattr(ops, "SPLIT_MACS", 0)
+    monkeypatch.setattr(ops, "SPLIT_BYTES", 0)
+    if band_bytes:
+        monkeypatch.setattr(ops, "BAND_BYTES", band_bytes)
+
+
+@needs_limiter
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("band_bytes", [None, 4096])  # one band per conv, or many
+def test_forward_bytes_do_not_depend_on_the_lanes(monkeypatch, dtype, band_bytes):
+    # every op splits, and every conv GEMM is cut, band by band
+    split_everything(monkeypatch, band_bytes)
+    limiter = runtime._blas_limiter()
+    for g in (infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE), tiny_graph()):
+        store = init_weights(g, 5).astype(dtype)
+        x = verification_input(g.nodes[0].out_shape, 5).data.astype(dtype)
+        outs = {}
+        for lanes in (1, 2):
+            with blas_threads(lanes):
+                assert runtime._forward_lanes(limiter) == lanes
+                outs[lanes], _ = run_forward(g, store, x)
+        assert outs[1].dtype == dtype
+        assert outs[1].tobytes() == outs[2].tobytes()
+
+
+@needs_limiter
+def test_lanes_stay_inside_ops_and_end_with_the_forward(monkeypatch):
+    # the tracer wraps public ops functions and keeps one span stack, so only
+    # the calling thread may enter them; lanes run private helpers only
+    split_everything(monkeypatch)
+    main = threading.get_ident()
+    public, lane_threads = [], set()
+
+    def on_caller(fn):
+        def wrapped(*args, **kwargs):
+            public.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name, fn in list(vars(ops).items()):
+        if inspect.isfunction(fn) and not name.startswith("_") and fn.__module__ == ops.__name__:
+            monkeypatch.setattr(ops, name, on_caller(fn))
+    each = ops._each
+
+    def traced_each(fn, parts):
+        lane_threads.add(threading.get_ident())
+        each(fn, parts)
+
+    monkeypatch.setattr(ops, "_each", traced_each)
+    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
+    store = init_weights(g, 5)
+    x = verification_input(presets.MICRO_INPUT_SHAPE, 5).data
+    before = threading.active_count()
+    with blas_threads(2):
+        run_forward(g, store, x)
+        assert threading.active_count() == before  # the lane threads are joined
+        run_forward(g, store, x, keep_activations=True)
+    assert threading.active_count() == before
+    assert len(lane_threads) == 2  # the work did run on two lanes
+    assert public and {tid for _, tid in public} == {main}
+    # a forked gradient check still works after forwards that opened lanes
+    monkeypatch.undo()
+    tg = tiny_graph()
+    rep = gradcheck(tg, init_weights(tg, 1), verification_input((1, 3, 64, 64), 1), sample_count=2, seed=1, workers=2)
+    assert rep.workers == 2 and rep.passed
+
+
+@needs_limiter
+def test_two_lanes_add_no_more_traced_memory_than_their_scratch(monkeypatch):
+    # lanes allocate nothing: the calling thread allocates every lane's
+    # scratch through ops._per_lane, so a two-lane forward may peak above a
+    # one-lane forward by at most the extra lanes' share of one op's scratch
+    split_everything(monkeypatch, 64 * 1024)
+    per_lane = ops._per_lane
+    op_extra = [0]
+    planned = [0]
+
+    def counted(lanes, shape, dtype):
+        op_extra[0] += (lanes - 1) * int(np.prod(shape)) * np.dtype(dtype).itemsize
+        planned[0] = max(planned[0], op_extra[0])
+        return per_lane(lanes, shape, dtype)
+
+    def per_op(fn):
+        def wrapped(*args, **kwargs):
+            op_extra[0] = 0
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(ops, "_per_lane", counted)
+    for name in ("conv2d_fwd", "bilinear_up2_fwd"):
+        monkeypatch.setattr(ops, name, per_op(getattr(ops, name)))
+    shape = (1, 3, 128, 256)
+    g = infer_shapes(build_uhrnet(parse_structure("1v1="), NetworkConfig(base_width=4, blocks_per_branch=2)), shape)
+    store = init_weights(g, 5)
+    x = verification_input(shape, 5).data
+    peaks = {}
+    for lanes in (1, 2):
+        with blas_threads(lanes):
+            run_forward(g, store, x)  # warm: first-call allocations stay out of the peak
+            tracemalloc.start()
+            try:
+                run_forward(g, store, x)
+                peaks[lanes] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert planned[0] > 0
+    # plus the pool thread's state and the parts' array views: small objects
+    bookkeeping = 64 * 1024
+    assert peaks[2] <= peaks[1] + planned[0] + bookkeeping, (peaks, planned[0])

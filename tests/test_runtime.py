@@ -629,43 +629,50 @@ def test_lanes_stay_inside_ops_and_end_with_the_forward(monkeypatch):
 @needs_limiter
 def test_two_lanes_add_no_more_traced_memory_than_their_scratch(monkeypatch):
     # lanes allocate nothing: the calling thread allocates every lane's
-    # scratch through ops._per_lane, so a two-lane forward may peak above a
-    # one-lane forward by at most the extra lanes' share of one op's scratch
+    # scratch through ops._per_lane, so no primitive call of a two-lane
+    # forward may peak above the same call at one lane by more than the
+    # extra lanes' scratch, and so neither may the whole forward
     split_everything(monkeypatch, 64 * 1024)
     per_lane = ops._per_lane
-    op_extra = [0]
-    planned = [0]
+    calls: list[list[int]] = []  # per primitive call: [peak above its start, extra lanes' scratch]
 
     def counted(lanes, shape, dtype):
-        op_extra[0] += (lanes - 1) * int(np.prod(shape)) * np.dtype(dtype).itemsize
-        planned[0] = max(planned[0], op_extra[0])
+        calls[-1][1] += (lanes - 1) * int(np.prod(shape)) * np.dtype(dtype).itemsize
         return per_lane(lanes, shape, dtype)
 
     def per_op(fn):
         def wrapped(*args, **kwargs):
-            op_extra[0] = 0
-            return fn(*args, **kwargs)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            calls.append([0, 0])
+            out = fn(*args, **kwargs)
+            calls[-1][0] = tracemalloc.get_traced_memory()[1] - start
+            return out
 
         return wrapped
 
     monkeypatch.setattr(ops, "_per_lane", counted)
-    for name in ("conv2d_fwd", "bilinear_up2_fwd"):
+    for name in ("conv2d_fwd", "batchnorm_fwd", "relu_fwd", "add_fwd", "bilinear_up2_fwd"):
         monkeypatch.setattr(ops, name, per_op(getattr(ops, name)))
     shape = (1, 3, 128, 256)
     g = infer_shapes(build_uhrnet(parse_structure("1v1="), NetworkConfig(base_width=4, blocks_per_branch=2)), shape)
     store = init_weights(g, 5)
     x = verification_input(shape, 5).data
-    peaks = {}
+    peaks, runs = {}, {}
     for lanes in (1, 2):
         with blas_threads(lanes):
             run_forward(g, store, x)  # warm: first-call allocations stay out of the peak
             tracemalloc.start()
             try:
+                calls.clear()
                 run_forward(g, store, x)
                 peaks[lanes] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-    assert planned[0] > 0
+            runs[lanes] = [list(c) for c in calls]
     # plus the pool thread's state and the parts' array views: small objects
     bookkeeping = 64 * 1024
-    assert peaks[2] <= peaks[1] + planned[0] + bookkeeping, (peaks, planned[0])
+    assert len(runs[1]) == len(runs[2]) and any(scratch for _, scratch in runs[2])
+    for (one, _), (two, scratch) in zip(runs[1], runs[2]):
+        assert two <= one + scratch + bookkeeping, (one, two, scratch)
+    assert peaks[2] <= peaks[1] + max(scratch for _, scratch in runs[2]) + bookkeeping, peaks

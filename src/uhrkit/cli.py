@@ -218,9 +218,10 @@ def cmd_forward(args) -> int:
     else:
         store = runtime.init_weights(graph, args.seed)
     x = ops.read_tensor(args.input_file).data
+    graph = infer_shapes(graph, tuple(x.shape))
     limiter = runtime._blas_limiter()
-    threads = runtime._blas_thread_count(limiter)  # the lanes follow it
-    lanes = runtime._forward_lanes(limiter)
+    threads = runtime._blas_thread_count(limiter)
+    lanes = max(1, runtime._forward_lanes(graph))  # the calling thread alone when none open
     start = time.perf_counter()
     out, _ = runtime.run_forward(graph, store, x)
     elapsed = time.perf_counter() - start

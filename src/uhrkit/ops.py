@@ -48,32 +48,41 @@ blocks of channels whose temporaries stay cache-sized
 (``UP2_BLOCK_BYTES``, 2 MiB of output per block): no full-map upsample
 temporary exists either.
 
-Lanes.  :func:`~uhrkit.runtime.run_forward` holds BLAS at one thread and
-opens one lane per BLAS thread it found: the calling thread plus a
-thread pool, reached here through one context variable and joined when
-the walk ends.  Elsewhere (direct calls, the gradient checker's replay)
-there is one lane.  The forward primitives split their work across the
-lanes only where the split keeps every output byte for any lane count:
+Lanes.  :func:`~uhrkit.runtime.run_forward` opens lanes for a graph whose
+convolutions reach ``LANE_MACS`` multiply-accumulates, on a host whose
+BLAS runs on at most ``GEMM_PARTS`` threads (the only counts measured):
+it holds BLAS at one thread and opens one lane per BLAS thread it found,
+the calling thread plus a thread pool, reached here through one context
+variable and joined when the walk ends.  Smaller forwards, direct calls
+and the gradient checker's replay have no lanes and run as before, at
+BLAS's own thread count: on a 2-vCPU VM two lanes made 1x3x256x512 about
+20% slower than OpenBLAS's two threads.  The forward primitives split
+their work across the lanes only where the split keeps every output byte
+for any lane count:
 
 * batchnorm, ReLU and add by channels, the upsampling by its channel
   blocks: each element is computed as before;
-* a convolution's GEMM, once it reaches ``SPLIT_MACS``, is cut into
-  ``GEMM_PARTS`` output-channel parts, band by band, inside a forward's
-  lanes however many there are.  A lane takes a part: for a stride-1
-  kernel it stages every band into its own buffer and runs its channels'
-  GEMM, offset sums and copy-out; on the strided path the lanes first
-  gather each band's columns by input channels, then multiply by output
+* a convolution's GEMM, once it reaches ``SPLIT_MACS`` (``SPLIT_MACS_1X1``
+  for a 1x1 stride-1 kernel), is cut into ``GEMM_PARTS`` output-channel
+  parts inside a forward's lanes however many there are.  For a stride-1
+  kernel larger than 1x1 a lane takes a part and works through every
+  band: it stages the band into its own buffer and runs its channels'
+  GEMM, offset sums and copy-out; on the strided path the lanes gather
+  each band's columns by input channels, then multiply by output
   channels.  The cut depends on the shape alone, never on the lane count,
   because it is not byte-neutral in general: with OpenBLAS's SkylakeX
   kernels a GEMM cut by rows gave other float64 bytes where its width is
   not a multiple of 8, and small pieces take other kernels altogether.
   The reference presets' outputs (float32 and float64 at 1x3x256x512,
-  float32 at 1x3x1024x2048) match the uncut GEMMs byte for byte.  Outside
-  a forward every GEMM stays whole.
+  float32 at 1x3x1024x2048) match the uncut GEMMs byte for byte.
 
-Work below ``SPLIT_MACS`` multiply-accumulates or ``SPLIT_BYTES`` of
-output runs on the calling thread alone, as before, since waking a lane
-costs about 0.1 ms inside a pass.  Lanes allocate nothing: the calling
+So a forward that opens lanes gives the bytes of one at one BLAS thread,
+whatever the lane count; one that opens none rounds as BLAS does at its
+thread count (the reference presets at 1x3x256x512 give other bytes at
+two BLAS threads than at one).  Inside the lanes, work below the cutoffs
+runs on the calling thread alone, since waking a lane costs about 0.1 ms
+inside a pass; the cutoffs come from timings of every conv call inside
+whole passes, split against whole.  Lanes allocate nothing: the calling
 thread allocates the shared product, accumulator and columns and each
 lane's staging and upsample buffers (``_per_lane``) and hands out views.
 A lane calls only numpy and this module's private helpers, never a
@@ -130,13 +139,19 @@ class ChecksumMismatch(ValueError):
 # product, or the strided path's im2col columns or staged input rows.
 BAND_BYTES = 16 * 2**20
 
-# Work below these sizes runs on the calling thread alone: a convolution of
-# fewer multiply-accumulates, an elementwise pass with a smaller output.
+# A forward opens lanes only when its graph's convolutions reach this many
+# multiply-accumulates (see ``uhrkit.runtime.run_forward``).
+LANE_MACS = 8 * 2**30
+
+# Inside a forward's lanes, work below these sizes runs on the calling
+# thread alone: a convolution of fewer multiply-accumulates (1x1 stride-1
+# ones have their own cutoff), an elementwise pass with a smaller output.
 SPLIT_MACS = 16 * 2**20
+SPLIT_MACS_1X1 = 32 * 2**20
 SPLIT_BYTES = 4 * 2**20
 
-# Output-channel parts of a cut GEMM (see ``_gemm_parts``), whatever the
-# lane count.
+# Output-channel parts of a cut GEMM (see ``_gemm_split``), whatever the
+# lane count; also the most lanes a forward opens.
 GEMM_PARTS = 2
 
 # The forward's lanes, set by ``_open_lanes``: a pool for every lane but the
@@ -147,18 +162,27 @@ _LANES: ContextVar[tuple] = ContextVar("uhrkit_lanes", default=(None, 0))
 @contextlib.contextmanager
 def _open_lanes(n: int):
     """``n`` lanes for the primitives called inside: the calling thread and
-    a pool of ``n - 1`` threads, joined before the block is left."""
-    # imported here: it costs 0.6 MiB of resident memory, which processes
-    # that never run a forward on lanes (cost queries) need not pay
-    from concurrent.futures import ThreadPoolExecutor
+    a pool of ``n - 1`` threads, joined before the block is left; none for
+    ``n == 0``, as outside a forward."""
+    pool = None
+    if n > 1:
+        # imported here: it costs 0.6 MiB of resident memory, which processes
+        # that never open two lanes (cost queries) need not pay
+        from concurrent.futures import ThreadPoolExecutor
 
-    with contextlib.ExitStack() as stack:
-        pool = stack.enter_context(ThreadPoolExecutor(n - 1, thread_name_prefix="uhrkit-lane")) if n > 1 else None
-        token = _LANES.set((pool, n))
-        try:
-            yield
-        finally:
-            _LANES.reset(token)
+        pool = ThreadPoolExecutor(n - 1, thread_name_prefix="uhrkit-lane")
+        # start the pool's thread now, before the walk allocates: started
+        # at its first job, mid-walk, it raised fwd-1024's peak RSS from
+        # 570 to 602 MiB, most likely because its start-up allocations
+        # pinned the top of the heap and glibc could not trim below them
+        pool.submit(int).result()
+    token = _LANES.set((pool, n))
+    try:
+        yield
+    finally:
+        _LANES.reset(token)
+        if pool is not None:
+            pool.shutdown()
 
 
 def _lanes_for(parts: int, work: int, cutoff: int) -> int:
@@ -167,37 +191,28 @@ def _lanes_for(parts: int, work: int, cutoff: int) -> int:
     return max(1, min(_LANES.get()[1], parts)) if work >= cutoff else 1
 
 
-def _gemm_parts(macs: int) -> int:
-    """Output-channel parts a GEMM of ``macs`` is cut into: ``GEMM_PARTS``
-    from ``SPLIT_MACS`` up, inside a forward's lanes only, however many
-    there are.  Elsewhere (direct calls, the gradient checker's replay)
-    every GEMM stays whole, as before the lanes."""
-    return GEMM_PARTS if macs >= SPLIT_MACS and _LANES.get()[1] > 0 else 1
+def _gemm_split(macs: int, cutoff: int) -> tuple[int, int]:
+    """``(parts, lanes)`` for a GEMM of ``macs``: from ``cutoff`` up, inside
+    a forward's lanes however many there are, it is cut into ``GEMM_PARTS``
+    output-channel parts, dealt to the lanes.  Elsewhere (direct calls,
+    the gradient checker's replay) every GEMM stays whole."""
+    if macs < cutoff or _LANES.get()[1] == 0:
+        return 1, 1
+    return GEMM_PARTS, min(_LANES.get()[1], GEMM_PARTS)
 
 
-def _each(fn, parts: list[tuple]) -> None:
-    """``fn(*args)`` for every ``args`` in ``parts``, in order."""
-    for args in parts:
-        fn(*args)
-
-
-def _into(fn, out, *args) -> None:
-    """``fn(*args, out=out)``: a ufunc or ``np.matmul`` as a lane part."""
-    fn(*args, out=out)
-
-
-def _deal(fn, parts: list[tuple], lanes: int) -> None:
-    """``fn(*args)`` for every ``args`` in ``parts``, dealt round-robin to
-    ``lanes`` lanes; the first lane is the calling thread.  Returns when
-    every part is done."""
+def _deal(jobs: list, lanes: int) -> None:
+    """Every job (a callable without arguments) in ``jobs``, dealt
+    round-robin to ``lanes`` lanes; the first lane is the calling thread.
+    Returns when every job is done."""
     if lanes == 1:
-        _each(fn, parts)
+        for job in jobs:
+            job()
         return
-    jobs = [functools.partial(_each, fn, parts[i::lanes]) for i in range(lanes)]
     pool = _LANES.get()[0]
-    futures = [pool.submit(job) for job in jobs[1:]]
+    futures = [pool.submit(_deal, jobs[i::lanes], 1) for i in range(1, lanes)]
     try:
-        jobs[0]()
+        _deal(jobs[::lanes], 1)
     finally:
         for f in futures:
             f.exception()  # waits, also when the calling thread's share raised
@@ -241,9 +256,9 @@ def _im2col(
     written into ``buf`` (N, C*k*k, at least rows*wo) when given.
 
     1x1 stride-1 convolutions reshape in place unless ``buf`` is given;
-    other kernels copy each
-    kernel offset's strided patch straight into its slot of the column
-    buffer, which is far cheaper than a transposed fancy-index gather.
+    other kernels copy each kernel offset's strided patch straight into
+    its slot of the column buffer, which is far cheaper than a transposed
+    fancy-index gather.
     """
     n, c = xp.shape[:2]
     if k == 1 and stride == 1 and buf is None:
@@ -291,13 +306,14 @@ def _shift_bands(x, wm, xb, prod, acc, y, bands, pad, k) -> None:
     """A stride-1 ``k``x``k`` convolution into ``y``, band by band, for the
     output channels whose weight rows ``wm`` holds in (offset, channel)
     order: each band's padded input rows staged into ``xb``, the GEMM into
-    ``prod``, the offset sums in ``acc``, then the copy-out."""
+    ``prod`` (a new array per band when None), the offset sums in ``acc``,
+    then the copy-out."""
     n, c, _, wd = x.shape
     cj, wp, wo = acc.shape[1], wd + 2 * pad, y.shape[3]
     for r0, rows in bands:
         hb = rows + k - 1
         band = _stage(x, xb[:, :, :hb], r0, pad)
-        t = np.matmul(wm, band.reshape(n, c, hb * wp), out=prod[:, :, : hb * wp])
+        t = np.matmul(wm, band.reshape(n, c, hb * wp), out=None if prod is None else prod[:, :, : hb * wp])
         t = t.reshape(n, k * k, cj, hb * wp)
         # the last row needs only its wo valid columns, which keeps the
         # largest shift inside the product
@@ -308,6 +324,7 @@ def _shift_bands(x, wm, xb, prod, acc, y, bands, pad, k) -> None:
             shift = (i // k) * wp + i % k
             a += t[:, i, :, shift : shift + m]
         y[:, :, r0 : r0 + rows] = acc[:, :, : rows * wp].reshape(n, cj, rows, wp)[..., :wo]
+        del t  # a band's own product goes before the next band's
 
 
 def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, ho: int, wo: int) -> np.ndarray:
@@ -323,10 +340,13 @@ def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, ho: int, wo: int) -
     flat shift.  The ``wo`` valid columns of each row are copied out per
     band.
 
-    A cut GEMM (see ``_gemm_parts``) gives each of its output-channel
+    A cut GEMM (see ``_gemm_split``) gives each of its output-channel
     parts to a lane, which works through every band on its own: it stages
     the band into its own buffer and writes only its parts' slices of the
-    one product, accumulator and output.
+    one product, accumulator and output.  A whole GEMM runs as before the
+    lanes, straight through the bands with each band's product made
+    afresh: at 1x3x256x512, where no forward opens lanes, going through
+    the lane plumbing made the pass about 3% slower.
     """
     n, c, _, wd = x.shape
     cout, _, k, _ = w.shape
@@ -335,27 +355,28 @@ def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, ho: int, wo: int) -
     y = np.empty((n, cout, ho, wo), dtype=x.dtype)
     step = _band_rows(n * k * k * cout * wp * x.itemsize, k - 1, ho)
     bands = [(r0, min(step, ho - r0)) for r0 in range(0, ho, step)]
-    macs = n * cout * ho * wo * c * k * k
-    groups = _spans(cout, _gemm_parts(macs))
-    lanes = _lanes_for(len(groups), macs, SPLIT_MACS)
-    xbs = _band_buffers(x, step + k - 1, pad, lanes)
-    prod = np.empty((n, k * k * cout, (step + k - 1) * wp), dtype=x.dtype)
+    parts, lanes = _gemm_split(n * cout * ho * wo * c * k * k, SPLIT_MACS)
     acc = np.empty((n, cout, step * wp), dtype=x.dtype)
-    parts = [
-        (x, np.ascontiguousarray(w3[:, c0:c1]).reshape(-1, c), xbs[i % lanes], prod[:, k * k * c0 : k * k * c1],
-         acc[:, c0:c1], y[:, c0:c1], bands, pad, k)
-        for i, (c0, c1) in enumerate(groups)
+    xbs = _band_buffers(x, step + k - 1, pad, lanes)
+    if parts == 1:
+        _shift_bands(x, np.ascontiguousarray(w3).reshape(-1, c), xbs[0], None, acc, y, bands, pad, k)
+        return y
+    prod = np.empty((n, k * k * cout, (step + k - 1) * wp), dtype=x.dtype)
+    jobs = [
+        functools.partial(_shift_bands, x, np.ascontiguousarray(w3[:, c0:c1]).reshape(-1, c), xbs[i % lanes],
+                          prod[:, k * k * c0 : k * k * c1], acc[:, c0:c1], y[:, c0:c1], bands, pad, k)
+        for i, (c0, c1) in enumerate(_spans(cout, parts))
     ]  # fmt: skip
-    _deal(_shift_bands, parts, lanes)
+    _deal(jobs, lanes)
     return y
 
 
-def _gather(x, xb, buf, r0, rows, wo, k, stride, pad) -> None:
+def _gather(x, xb, buf, r0, rows, wo, k, stride, pad) -> np.ndarray:
     """The columns of output rows ``r0:r0 + rows`` for the input channels
     that ``x``, ``xb`` and ``buf`` hold: the band's rows staged into ``xb``,
-    then gathered into ``buf``."""
+    then gathered into ``buf`` (a new array when None)."""
     band = _stage(x, xb[:, :, : stride * (rows - 1) + k], stride * r0, pad)
-    _im2col(band, k, stride, wo, rows, buf)
+    return _im2col(band, k, stride, wo, rows, buf)
 
 
 def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = None) -> np.ndarray:
@@ -377,31 +398,38 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
     if stride == 1 and kh > 1:
         return _conv_shift_gemm(x, w, pad, ho, wo)
     wm = w.reshape(cout, -1)
-    y = np.empty((n, cout, ho, wo), dtype=x.dtype)
-    yf = y.reshape(n, cout, ho * wo)
     macs = n * cout * ho * wo * cin * kh * kw
     if kh == 1 and stride == 1 and not pad:
         # one GEMM over the whole map, cut into output-channel parts when large
         xf = _im2col(x, 1, 1, wo, ho)
-        parts = [(np.matmul, yf[:, c0:c1], wm[c0:c1], xf) for c0, c1 in _spans(cout, _gemm_parts(macs))]
-        _deal(_into, parts, _lanes_for(len(parts), macs, SPLIT_MACS))
+        parts, lanes = _gemm_split(macs, SPLIT_MACS_1X1)
+        if parts == 1:
+            return (wm @ xf).reshape(n, cout, ho, wo)
+        y = np.empty((n, cout, ho, wo), dtype=x.dtype)
+        yf = y.reshape(n, cout, ho * wo)
+        _deal([functools.partial(np.matmul, wm[c0:c1], xf, out=yf[:, c0:c1]) for c0, c1 in _spans(cout, parts)], lanes)
         return y
+    y = np.empty((n, cout, ho, wo), dtype=x.dtype)
+    yf = y.reshape(n, cout, ho * wo)
+    parts, lanes = _gemm_split(macs, SPLIT_MACS)
+    groups, ins = _spans(cout, parts), _spans(cin, parts)
     # per output row, the columns or (for a 1x1 conv) the staged input rows
     step = _band_rows(n * cin * max(kh * kw * wo, stride * (wd + 2 * pad)) * x.itemsize, 0, ho)
     xb = _band_buffers(x, stride * (step - 1) + kh, pad, 1)[0]
-    buf = np.empty((n, cin * kh * kw, step * wo), dtype=x.dtype)
-    # a cut GEMM gathers each band's columns by input channels, then
-    # multiplies by output channels, both across the lanes
-    groups, ins = _spans(cout, _gemm_parts(macs)), _spans(cin, _gemm_parts(macs))
-    lanes = _lanes_for(len(groups), macs, SPLIT_MACS)
+    buf = np.empty((n, cin * kh * kw, step * wo), dtype=x.dtype) if parts > 1 else None
     kk = kh * kw
     for r0 in range(0, ho, step):
         rows = min(step, ho - r0)
-        gather = [(x[:, c0:c1], xb[:, c0:c1], buf[:, kk * c0 : kk * c1], r0, rows, wo, kh, stride, pad) for c0, c1 in ins]
-        _deal(_gather, gather, min(lanes, len(ins)))
+        band, out = (r0, rows, wo, kh, stride, pad), yf[:, :, r0 * wo : (r0 + rows) * wo]
+        if parts == 1:  # as before the lanes, each band's columns made afresh
+            np.matmul(wm, _gather(x, xb, None, *band), out=out)
+            continue
+        # a cut GEMM gathers the band's columns by input channels, then
+        # multiplies by output channels, both across the lanes
+        gather = [functools.partial(_gather, x[:, c0:c1], xb[:, c0:c1], buf[:, kk * c0 : kk * c1], *band) for c0, c1 in ins]
+        _deal(gather, min(lanes, len(ins)))
         cols = buf[:, :, : rows * wo]
-        parts = [(np.matmul, yf[:, c0:c1, r0 * wo : (r0 + rows) * wo], wm[c0:c1], cols) for c0, c1 in groups]
-        _deal(_into, parts, lanes)
+        _deal([functools.partial(np.matmul, wm[c0:c1], cols, out=out[:, c0:c1]) for c0, c1 in groups], lanes)
     return y
 
 
@@ -452,13 +480,12 @@ def _channelwise(fn, out: np.ndarray, *args) -> np.ndarray:
     if lanes == 1:
         fn(*args, out=out)
         return out
-    parts = [
-        (fn, *(a[:, c0:c1] if isinstance(a, np.ndarray) else a for a in (out, *args)))
+    jobs = [
+        functools.partial(fn, *(a[:, c0:c1] if isinstance(a, np.ndarray) else a for a in args), out=out[:, c0:c1])
         for c0, c1 in _spans(out.shape[1], lanes)
     ]
-    _deal(_into, parts, lanes)
+    _deal(jobs, lanes)
     return out
-
 
 
 def batchnorm_fwd(
@@ -557,7 +584,7 @@ def bilinear_up2_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     Works through blocks of channels whose temporaries stay within
     ``UP2_BLOCK_BYTES``, each block written straight into its slice of the
     output.  The blocks are dealt to the lanes, each lane with its own
-    temporaries."""
+    temporaries and an equal share of the budget."""
     n, c, h, w = x.shape
     iy0, iy1, wy = _lerp_axis(h)
     ix0, ix1, wx = _lerp_axis(w)
@@ -565,15 +592,18 @@ def bilinear_up2_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     wx = wx.astype(x.dtype)[None, None, None, :]
     if out is None:
         out = np.empty((n, c, 2 * h, 2 * w), dtype=x.dtype)
-    step = max(1, UP2_BLOCK_BYTES // max(n * 4 * h * w * x.itemsize, 1))
-    blocks = [(c0, min(c, c0 + step)) for c0 in range(0, c, step)]
-    lanes = _lanes_for(len(blocks), out.nbytes, SPLIT_BYTES)
+    lanes = _lanes_for(c, out.nbytes, SPLIT_BYTES)
+    # the lanes share the budget, so their temporaries add up to one lane's
+    step = max(1, UP2_BLOCK_BYTES // lanes // max(n * 4 * h * w * x.itemsize, 1))
     # per lane, the row pass's output and one other temporary, flat
     size = n * min(step, c) * 2 * h * w
     temps = _per_lane(lanes, (3 * size,), x.dtype)
     lerp = (iy0, iy1, 1 - wy, wy, ix0, ix1, 1 - wx, wx)
-    parts = [(x, out, c0, c1, temps[i % lanes], *lerp) for i, (c0, c1) in enumerate(blocks)]
-    _deal(_up2_block, parts, lanes)
+    jobs = [
+        functools.partial(_up2_block, x, out, c0, min(c, c0 + step), temps[i % lanes], *lerp)
+        for i, c0 in enumerate(range(0, c, step))
+    ]
+    _deal(jobs, lanes)
     return out
 
 

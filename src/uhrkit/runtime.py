@@ -52,6 +52,7 @@ import functools
 import math
 import os
 import struct
+import threading
 import time
 import warnings
 import zlib
@@ -415,8 +416,14 @@ def run_forward(
     the reverse sweep); otherwise buffers are reused and freed as soon as
     their last consumer has run.
 
-    The walk runs on one lane per BLAS thread (see :mod:`uhrkit.ops`), with
-    BLAS held at one thread meanwhile; the lanes' threads end with the call.
+    A forward whose convolutions reach ``ops.LANE_MACS`` multiply-accumulates
+    runs on one lane per BLAS thread (see :mod:`uhrkit.ops`), with BLAS held
+    at one thread meanwhile; the lanes' threads end with the call.  The BLAS
+    thread count is process-wide, so forwards called from several threads
+    run one at a time, and BLAS work that other threads do meanwhile runs
+    single-threaded.  Smaller forwards, and hosts with more BLAS threads
+    than ``ops.GEMM_PARTS`` or no way to set them, run on the calling thread
+    at BLAS's own thread count, as before the lanes.
     """
     if not graph.shaped:
         graph = infer_shapes(graph, tuple(x.shape))
@@ -425,17 +432,31 @@ def run_forward(
         raise ShapeMismatch(f"input shape {x.shape} does not match the graph's {want}")
     acts = {graph.input_id: x}
     ex = _Exec(graph, store, x.dtype)
-    limiter = _blas_limiter()
-    lanes = _forward_lanes(limiter)
-    with _blas_single_thread(limiter), ops._open_lanes(lanes):
-        out, _ = ex.walk(graph.nodes[1:], acts, keep=keep_activations, check_finite=check_finite)
+    with _ONE_FORWARD:
+        lanes = _forward_lanes(graph)
+        with _blas_single_thread(_blas_limiter()) if lanes else contextlib.nullcontext(), ops._open_lanes(lanes):
+            out, _ = ex.walk(graph.nodes[1:], acts, keep=keep_activations, check_finite=check_finite)
     return out, (acts if keep_activations else None)
 
 
-def _forward_lanes(limiter: str) -> int:
-    """Lanes a forward opens: one per BLAS thread, or one when BLAS cannot
-    be held at a single thread."""
-    return max(1, _blas_thread_count(limiter)) if limiter != "none" else 1
+_ONE_FORWARD = threading.Lock()  # a forward may set the process-wide BLAS thread count
+
+
+def _forward_lanes(graph: LayerGraph) -> int:
+    """Lanes the forward of the shaped ``graph`` opens: one per BLAS thread
+    when its convolutions reach ``ops.LANE_MACS`` multiply-accumulates and
+    a limiter can hold BLAS at one thread, which runs on 1 to
+    ``ops.GEMM_PARTS`` threads (the only counts measured); else 0."""
+    if _conv_macs(graph) < ops.LANE_MACS:
+        return 0
+    limiter = _blas_limiter()
+    n = _blas_thread_count(limiter) if limiter != "none" else 0
+    return n if 1 <= n <= ops.GEMM_PARTS else 0
+
+
+def _conv_macs(graph: LayerGraph) -> int:
+    """Multiply-accumulates of the shaped ``graph``'s convolutions."""
+    return sum(math.prod(n.out_shape) * n.attrs["in_ch"] * n.attrs["k"] ** 2 for n in graph.nodes if n.kind == "conv")
 
 
 def run_backward(

@@ -558,7 +558,9 @@ def blas_threads(n):
 
 
 def split_everything(monkeypatch, band_bytes=None):
+    monkeypatch.setattr(ops, "LANE_MACS", 0)
     monkeypatch.setattr(ops, "SPLIT_MACS", 0)
+    monkeypatch.setattr(ops, "SPLIT_MACS_1X1", 0)
     monkeypatch.setattr(ops, "SPLIT_BYTES", 0)
     if band_bytes:
         monkeypatch.setattr(ops, "BAND_BYTES", band_bytes)
@@ -570,17 +572,48 @@ def split_everything(monkeypatch, band_bytes=None):
 def test_forward_bytes_do_not_depend_on_the_lanes(monkeypatch, dtype, band_bytes):
     # every op splits, and every conv GEMM is cut, band by band
     split_everything(monkeypatch, band_bytes)
-    limiter = runtime._blas_limiter()
     for g in (infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE), tiny_graph()):
         store = init_weights(g, 5).astype(dtype)
         x = verification_input(g.nodes[0].out_shape, 5).data.astype(dtype)
         outs = {}
         for lanes in (1, 2):
             with blas_threads(lanes):
-                assert runtime._forward_lanes(limiter) == lanes
+                assert runtime._forward_lanes(g) == lanes
                 outs[lanes], _ = run_forward(g, store, x)
         assert outs[1].dtype == dtype
         assert outs[1].tobytes() == outs[2].tobytes()
+
+
+@needs_limiter
+def test_only_large_forwards_on_few_blas_threads_open_lanes(monkeypatch):
+    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
+    store = init_weights(g, 5)
+    x = verification_input(presets.MICRO_INPUT_SHAPE, 5).data
+    limiter = runtime._blas_limiter()
+    seen = []  # (lanes, BLAS threads) inside each batchnorm call
+    batchnorm = ops.batchnorm_fwd
+
+    def watched(*args, **kwargs):
+        seen.append((ops._LANES.get()[1], runtime._blas_thread_count(limiter)))
+        return batchnorm(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "batchnorm_fwd", watched)
+    with blas_threads(2):
+        # below LANE_MACS the forward runs as before the lanes: no lane, and
+        # BLAS keeps its own thread count
+        monkeypatch.setattr(ops, "LANE_MACS", runtime._conv_macs(g) + 1)
+        assert runtime._forward_lanes(g) == 0
+        run_forward(g, store, x)
+        assert set(seen) == {(0, 2)}
+        seen.clear()
+        monkeypatch.setattr(ops, "LANE_MACS", runtime._conv_macs(g))
+        assert runtime._forward_lanes(g) == 2
+        run_forward(g, store, x)
+        assert set(seen) == {(2, 1)}
+        assert runtime._blas_thread_count(limiter) == 2  # restored
+    # more BLAS threads than GEMM_PARTS were never measured: no lanes either
+    monkeypatch.setattr(runtime, "_blas_thread_count", lambda limiter: ops.GEMM_PARTS + 1)
+    assert runtime._forward_lanes(g) == 0
 
 
 @needs_limiter
@@ -601,13 +634,14 @@ def test_lanes_stay_inside_ops_and_end_with_the_forward(monkeypatch):
     for name, fn in list(vars(ops).items()):
         if inspect.isfunction(fn) and not name.startswith("_") and fn.__module__ == ops.__name__:
             monkeypatch.setattr(ops, name, on_caller(fn))
-    each = ops._each
+    deal = ops._deal
 
-    def traced_each(fn, parts):
-        lane_threads.add(threading.get_ident())
-        each(fn, parts)
+    def traced_deal(jobs, lanes):
+        if lanes == 1:
+            lane_threads.add(threading.get_ident())
+        deal(jobs, lanes)
 
-    monkeypatch.setattr(ops, "_each", traced_each)
+    monkeypatch.setattr(ops, "_deal", traced_deal)
     g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
     store = init_weights(g, 5)
     x = verification_input(presets.MICRO_INPUT_SHAPE, 5).data

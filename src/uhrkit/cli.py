@@ -219,9 +219,8 @@ def cmd_forward(args) -> int:
         store = runtime.init_weights(graph, args.seed)
     x = ops.read_tensor(args.input_file).data
     graph = infer_shapes(graph, tuple(x.shape))
-    limiter = runtime._blas_limiter()
-    threads = runtime._blas_thread_count(limiter)
-    lanes = max(1, runtime._forward_lanes(graph))  # the calling thread alone when none open
+    blas, threads, lanes = runtime._forward_lanes(graph)
+    lanes = max(1, lanes)  # the calling thread alone when none open
     start = time.perf_counter()
     out, _ = runtime.run_forward(graph, store, x)
     elapsed = time.perf_counter() - start
@@ -236,17 +235,16 @@ def cmd_forward(args) -> int:
             "dtype": str(out.dtype),
             "elapsed_s": round(elapsed, 3),
             "finite": finite,
-            "blas_limiter": limiter,
+            "blas_limiter": blas.name,
             "blas_threads": threads,
             "lanes": lanes,
         }
         print(json.dumps(doc))
     else:
         shape = "x".join(map(str, out.shape))
-        blas = f"BLAS limiter {limiter}, threads {threads or 'unknown'}"
         print(
-            f"forward ok: output {shape} {out.dtype} in {elapsed:.2f}s on {lanes} "
-            f"lane{'s' * (lanes > 1)} ({blas}) -> {args.out_file}"
+            f"forward ok: output {shape} {out.dtype} in {elapsed:.2f}s on {lanes} lane{'s' * (lanes > 1)} "
+            f"(BLAS limiter {blas.name}, threads {threads or 'unknown'}) -> {args.out_file}"
         )
     return EXIT_OK
 

@@ -33,8 +33,8 @@ its im2col always reads one staged band.
 
 The shift-GEMM sums a band's kernel offsets in an accumulator laid out
 at the padded width, where each offset is one contiguous flat shift of
-the product rather than a strided 2-D window; the sum starts from zero
-as before, and each band's valid columns are copied out.  The
+the product rather than a strided 2-D window; the sum starts from zero,
+and each band's valid columns are copied out.  The
 accumulator is one band of output rows at the padded width, a
 ``1/k**2`` share of the product.
 
@@ -48,20 +48,19 @@ blocks of channels whose temporaries stay cache-sized
 (``UP2_BLOCK_BYTES``, 2 MiB of output per block): no full-map upsample
 temporary exists either.
 
-Lanes.  :func:`~uhrkit.runtime.run_forward` opens lanes for a graph whose
-convolutions reach ``LANE_MACS`` multiply-accumulates, on a host whose
-BLAS runs on at most ``GEMM_PARTS`` threads (the only counts measured):
-it holds BLAS at one thread and opens one lane per BLAS thread it found,
-the calling thread plus a thread pool, reached here through one context
-variable and joined when the walk ends.  Smaller forwards, direct calls
-and the gradient checker's replay have no lanes and run as before, at
-BLAS's own thread count: on a 2-vCPU VM two lanes made 1x3x256x512 about
-20% slower than OpenBLAS's two threads.  The forward primitives split
-their work across the lanes only where the split keeps every output byte
-for any lane count:
+Lanes.  :func:`~uhrkit.runtime.run_forward` decides whether a forward
+opens lanes (see ``uhrkit.runtime.LANE_MACS``).  When it does, it holds
+BLAS at one thread and opens one lane per BLAS thread it found, at most
+``GEMM_PARTS``: the calling thread plus a thread pool, reached here
+through one context variable and joined when the walk ends.  Smaller
+forwards, direct calls and the gradient checker's replay have no lanes
+and run on the calling thread at BLAS's own thread count: on a 2-vCPU VM
+two lanes made 1x3x256x512 about 20% slower than OpenBLAS's two threads.
+The forward primitives split their work across the lanes only where the
+split keeps every output byte for any lane count:
 
 * batchnorm, ReLU and add by channels, the upsampling by its channel
-  blocks: each element is computed as before;
+  blocks: each element's arithmetic does not depend on the split;
 * a convolution's GEMM, once it reaches ``SPLIT_MACS`` (``SPLIT_MACS_1X1``
   for a 1x1 stride-1 kernel), is cut into ``GEMM_PARTS`` output-channel
   parts inside a forward's lanes however many there are.  For a stride-1
@@ -139,10 +138,6 @@ class ChecksumMismatch(ValueError):
 # product, or the strided path's im2col columns or staged input rows.
 BAND_BYTES = 16 * 2**20
 
-# A forward opens lanes only when its graph's convolutions reach this many
-# multiply-accumulates (see ``uhrkit.runtime.run_forward``).
-LANE_MACS = 8 * 2**30
-
 # Inside a forward's lanes, work below these sizes runs on the calling
 # thread alone: a convolution of fewer multiply-accumulates (1x1 stride-1
 # ones have their own cutoff), an elementwise pass with a smaller output.
@@ -150,8 +145,8 @@ SPLIT_MACS = 16 * 2**20
 SPLIT_MACS_1X1 = 32 * 2**20
 SPLIT_BYTES = 4 * 2**20
 
-# Output-channel parts of a cut GEMM (see ``_gemm_split``), whatever the
-# lane count; also the most lanes a forward opens.
+# Parts of split work (see ``_split``), whatever the lane count; also the
+# most lanes a forward opens.
 GEMM_PARTS = 2
 
 # The forward's lanes, set by ``_open_lanes``: a pool for every lane but the
@@ -185,27 +180,24 @@ def _open_lanes(n: int):
             pool.shutdown()
 
 
-def _lanes_for(parts: int, work: int, cutoff: int) -> int:
-    """Lanes for ``parts`` independent parts of ``work`` units: one below
-    ``cutoff``, else as many as there are lanes and parts."""
-    return max(1, min(_LANES.get()[1], parts)) if work >= cutoff else 1
-
-
-def _gemm_split(macs: int, cutoff: int) -> tuple[int, int]:
-    """``(parts, lanes)`` for a GEMM of ``macs``: from ``cutoff`` up, inside
-    a forward's lanes however many there are, it is cut into ``GEMM_PARTS``
-    output-channel parts, dealt to the lanes.  Elsewhere (direct calls,
-    the gradient checker's replay) every GEMM stays whole."""
-    if macs < cutoff or _LANES.get()[1] == 0:
+def _split(work: int, cutoff: int) -> tuple[int, int]:
+    """``(parts, lanes)`` for ``work`` units: from ``cutoff`` up, inside a
+    forward's lanes however many there are, the work is cut into
+    ``GEMM_PARTS`` parts, dealt to the lanes.  Below the cutoff and
+    elsewhere (direct calls, the gradient checker's replay) it stays whole
+    on the calling thread."""
+    lanes = _LANES.get()[1]
+    if work < cutoff or lanes == 0:
         return 1, 1
-    return GEMM_PARTS, min(_LANES.get()[1], GEMM_PARTS)
+    return GEMM_PARTS, min(lanes, GEMM_PARTS)
 
 
 def _deal(jobs: list, lanes: int) -> None:
     """Every job (a callable without arguments) in ``jobs``, dealt
-    round-robin to ``lanes`` lanes; the first lane is the calling thread.
-    Returns when every job is done."""
-    if lanes == 1:
+    round-robin to ``lanes`` lanes, at most one per job; the first lane is
+    the calling thread.  Returns when every job is done."""
+    lanes = min(lanes, len(jobs))
+    if lanes <= 1:
         for job in jobs:
             job()
         return
@@ -340,13 +332,13 @@ def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, ho: int, wo: int) -
     flat shift.  The ``wo`` valid columns of each row are copied out per
     band.
 
-    A cut GEMM (see ``_gemm_split``) gives each of its output-channel
+    A cut GEMM (see ``_split``) gives each of its output-channel
     parts to a lane, which works through every band on its own: it stages
     the band into its own buffer and writes only its parts' slices of the
-    one product, accumulator and output.  A whole GEMM runs as before the
-    lanes, straight through the bands with each band's product made
-    afresh: at 1x3x256x512, where no forward opens lanes, going through
-    the lane plumbing made the pass about 3% slower.
+    one product, accumulator and output.  A whole GEMM goes straight
+    through the bands with each band's product made afresh: at
+    1x3x256x512, where no forward opens lanes, going through the lane
+    plumbing made the pass about 3% slower.
     """
     n, c, _, wd = x.shape
     cout, _, k, _ = w.shape
@@ -355,7 +347,7 @@ def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, ho: int, wo: int) -
     y = np.empty((n, cout, ho, wo), dtype=x.dtype)
     step = _band_rows(n * k * k * cout * wp * x.itemsize, k - 1, ho)
     bands = [(r0, min(step, ho - r0)) for r0 in range(0, ho, step)]
-    parts, lanes = _gemm_split(n * cout * ho * wo * c * k * k, SPLIT_MACS)
+    parts, lanes = _split(n * cout * ho * wo * c * k * k, SPLIT_MACS)
     acc = np.empty((n, cout, step * wp), dtype=x.dtype)
     xbs = _band_buffers(x, step + k - 1, pad, lanes)
     if parts == 1:
@@ -402,7 +394,7 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
     if kh == 1 and stride == 1 and not pad:
         # one GEMM over the whole map, cut into output-channel parts when large
         xf = _im2col(x, 1, 1, wo, ho)
-        parts, lanes = _gemm_split(macs, SPLIT_MACS_1X1)
+        parts, lanes = _split(macs, SPLIT_MACS_1X1)
         if parts == 1:
             return (wm @ xf).reshape(n, cout, ho, wo)
         y = np.empty((n, cout, ho, wo), dtype=x.dtype)
@@ -411,7 +403,7 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
         return y
     y = np.empty((n, cout, ho, wo), dtype=x.dtype)
     yf = y.reshape(n, cout, ho * wo)
-    parts, lanes = _gemm_split(macs, SPLIT_MACS)
+    parts, lanes = _split(macs, SPLIT_MACS)
     groups, ins = _spans(cout, parts), _spans(cin, parts)
     # per output row, the columns or (for a 1x1 conv) the staged input rows
     step = _band_rows(n * cin * max(kh * kw * wo, stride * (wd + 2 * pad)) * x.itemsize, 0, ho)
@@ -421,13 +413,13 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
     for r0 in range(0, ho, step):
         rows = min(step, ho - r0)
         band, out = (r0, rows, wo, kh, stride, pad), yf[:, :, r0 * wo : (r0 + rows) * wo]
-        if parts == 1:  # as before the lanes, each band's columns made afresh
+        if parts == 1:  # a whole GEMM: each band's columns made afresh
             np.matmul(wm, _gather(x, xb, None, *band), out=out)
             continue
         # a cut GEMM gathers the band's columns by input channels, then
         # multiplies by output channels, both across the lanes
         gather = [functools.partial(_gather, x[:, c0:c1], xb[:, c0:c1], buf[:, kk * c0 : kk * c1], *band) for c0, c1 in ins]
-        _deal(gather, min(lanes, len(ins)))
+        _deal(gather, lanes)
         cols = buf[:, :, : rows * wo]
         _deal([functools.partial(np.matmul, wm[c0:c1], cols, out=out[:, c0:c1]) for c0, c1 in groups], lanes)
     return y
@@ -476,13 +468,13 @@ def _channelwise(fn, out: np.ndarray, *args) -> np.ndarray:
     ``out`` holds at least ``SPLIT_BYTES``: every array among ``args``
     (maps and ``(1, C, 1, 1)`` per-channel vectors alike) is sliced along
     axis 1 with ``out``."""
-    lanes = _lanes_for(out.shape[1], out.nbytes, SPLIT_BYTES)
+    parts, lanes = _split(out.nbytes, SPLIT_BYTES)
     if lanes == 1:
         fn(*args, out=out)
         return out
     jobs = [
         functools.partial(fn, *(a[:, c0:c1] if isinstance(a, np.ndarray) else a for a in args), out=out[:, c0:c1])
-        for c0, c1 in _spans(out.shape[1], lanes)
+        for c0, c1 in _spans(out.shape[1], parts)
     ]
     _deal(jobs, lanes)
     return out
@@ -592,7 +584,7 @@ def bilinear_up2_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     wx = wx.astype(x.dtype)[None, None, None, :]
     if out is None:
         out = np.empty((n, c, 2 * h, 2 * w), dtype=x.dtype)
-    lanes = _lanes_for(c, out.nbytes, SPLIT_BYTES)
+    lanes = min(_split(out.nbytes, SPLIT_BYTES)[1], c)
     # the lanes share the budget, so their temporaries add up to one lane's
     step = max(1, UP2_BLOCK_BYTES // lanes // max(n * 4 * h * w * x.itemsize, 1))
     # per lane, the row pass's output and one other temporary, flat

@@ -41,7 +41,8 @@ thread so the workers do not oversubscribe the cores.  The limit goes
 through ``threadpoolctl`` when it imports, else straight to the OpenBLAS
 bundled in numpy's wheel; with neither, the check warns and defaults to one
 worker.  The report records the workers, the limiter and the BLAS thread
-count it ran with.
+count it ran with.  One handle, :func:`_blas`, built on first use and never
+at import, carries that choice for the checker and the forward alike.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import time
 import warnings
 import zlib
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -287,7 +289,6 @@ class _Exec:
         keep: bool = False,
         base: dict[str, np.ndarray] | None = None,
         kink_ctx: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
-        check_finite: bool = False,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Execute ``nodes`` in order: the one executor behind both the
         forward pass and the gradient checker's replay.
@@ -385,8 +386,6 @@ class _Exec:
                 raise ValueError(f"cannot execute node kind {kind!r}")
             if node.out_shape is not None and y.shape != (b, *node.out_shape[1:]):
                 raise ShapeMismatch(f"node {node.id!r} produced {y.shape}, expected {node.out_shape}")
-            if check_finite and not np.isfinite(y).all():
-                raise FloatingPointError(f"non-finite values after node {node.id!r}")
             if not keep:
                 for src in node.inputs:
                     if src in acts and src not in fixed:
@@ -406,7 +405,6 @@ def run_forward(
     store: WeightStore,
     x: np.ndarray,
     keep_activations: bool = False,
-    check_finite: bool = False,
 ) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
     """Execute the graph in topological order; ``x`` is never modified.
     An unshaped graph is shaped from ``x`` first, so the input and every
@@ -416,14 +414,14 @@ def run_forward(
     the reverse sweep); otherwise buffers are reused and freed as soon as
     their last consumer has run.
 
-    A forward whose convolutions reach ``ops.LANE_MACS`` multiply-accumulates
+    A forward whose convolutions reach ``LANE_MACS`` multiply-accumulates
     runs on one lane per BLAS thread (see :mod:`uhrkit.ops`), with BLAS held
     at one thread meanwhile; the lanes' threads end with the call.  The BLAS
     thread count is process-wide, so forwards called from several threads
     run one at a time, and BLAS work that other threads do meanwhile runs
     single-threaded.  Smaller forwards, and hosts with more BLAS threads
     than ``ops.GEMM_PARTS`` or no way to set them, run on the calling thread
-    at BLAS's own thread count, as before the lanes.
+    at BLAS's own thread count.
     """
     if not graph.shaped:
         graph = infer_shapes(graph, tuple(x.shape))
@@ -433,30 +431,99 @@ def run_forward(
     acts = {graph.input_id: x}
     ex = _Exec(graph, store, x.dtype)
     with _ONE_FORWARD:
-        lanes = _forward_lanes(graph)
-        with _blas_single_thread(_blas_limiter()) if lanes else contextlib.nullcontext(), ops._open_lanes(lanes):
-            out, _ = ex.walk(graph.nodes[1:], acts, keep=keep_activations, check_finite=check_finite)
+        blas, _, lanes = _forward_lanes(graph)
+        with blas.hold() if lanes else contextlib.nullcontext(), ops._open_lanes(lanes):
+            out, _ = ex.walk(graph.nodes[1:], acts, keep=keep_activations)
     return out, (acts if keep_activations else None)
 
 
 _ONE_FORWARD = threading.Lock()  # a forward may set the process-wide BLAS thread count
 
+# A forward opens lanes only when its graph's convolutions reach this many
+# multiply-accumulates: below it, two lanes ran slower than BLAS's own
+# threads (see ``_forward_lanes``).
+LANE_MACS = 8 * 2**30
 
-def _forward_lanes(graph: LayerGraph) -> int:
-    """Lanes the forward of the shaped ``graph`` opens: one per BLAS thread
-    when its convolutions reach ``ops.LANE_MACS`` multiply-accumulates and
-    a limiter can hold BLAS at one thread, which runs on 1 to
-    ``ops.GEMM_PARTS`` threads (the only counts measured); else 0."""
-    if _conv_macs(graph) < ops.LANE_MACS:
-        return 0
-    limiter = _blas_limiter()
-    n = _blas_thread_count(limiter) if limiter != "none" else 0
-    return n if 1 <= n <= ops.GEMM_PARTS else 0
+
+def _forward_lanes(graph: LayerGraph) -> tuple[_Blas, int, int]:
+    """How the forward of the shaped ``graph`` uses the cores: the BLAS
+    handle, the BLAS threads in use now (0 if unreadable) and the lanes it
+    opens.  That is one lane per BLAS thread when the convolutions reach
+    ``LANE_MACS`` multiply-accumulates and BLAS runs on 1 to
+    ``ops.GEMM_PARTS`` threads (the only counts measured), else 0."""
+    blas = _blas()
+    n = blas.threads()
+    return blas, n, (n if 1 <= n <= ops.GEMM_PARTS and _conv_macs(graph) >= LANE_MACS else 0)
 
 
 def _conv_macs(graph: LayerGraph) -> int:
     """Multiply-accumulates of the shaped ``graph``'s convolutions."""
     return sum(math.prod(n.out_shape) * n.attrs["in_ch"] * n.attrs["k"] ** 2 for n in graph.nodes if n.kind == "conv")
+
+
+@dataclass(frozen=True)
+class _Blas:
+    """How this process sets BLAS threads: the limiter's ``name``
+    (``threadpoolctl``, ``openblas`` or ``none``), a reader of the threads
+    in use now (0 if unreadable), and ``limit(n)``, a context that holds
+    BLAS at ``n`` threads and restores the previous count on exit."""
+
+    name: str
+    threads: Callable[[], int]
+    limit: Callable[[int], contextlib.AbstractContextManager]
+
+    @contextlib.contextmanager
+    def hold(self):
+        """BLAS at one thread inside; yields the count read there.  Forked
+        gradcheck workers would otherwise oversubscribe the cores, and
+        holding both of the checker's paths keeps their results
+        bit-identical; a forward's lanes each run one GEMM thread."""
+        with self.limit(1):
+            yield self.threads()
+
+
+@functools.cache
+def _blas() -> _Blas:
+    """The process's BLAS handle, built on first use: ``threadpoolctl`` when
+    it imports, else the OpenBLAS bundled in numpy's wheel, set through
+    ctypes, else none.  Loading the library numpy already loaded by its
+    path hands back that same copy, so the count set is numpy's."""
+    try:
+        from threadpoolctl import threadpool_info, threadpool_limits
+    except ImportError:
+        pass
+    else:
+        return _Blas(
+            "threadpoolctl",
+            lambda: max((m["num_threads"] for m in threadpool_info() if m["user_api"] == "blas"), default=0),
+            lambda n: threadpool_limits(limits=n),
+        )
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        # numpy >= 2 wheels ship scipy-openblas, older ones openblas, both
+        # built with 64-bit integers (the 64_ suffix)
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            put = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return _Blas("openblas", get, functools.partial(_openblas_limit, get, put))
+    return _Blas("none", lambda: 0, lambda n: contextlib.nullcontext())
+
+
+@contextlib.contextmanager
+def _openblas_limit(get, put, n: int):
+    before = get()
+    put(n)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def run_backward(
@@ -795,82 +862,13 @@ def _check_entry(st: _GcState, entry: tuple[str, str, str, tuple[int, ...]]) -> 
     )
 
 
-_FORK_STATE: list = []  # [state, entries, limiter]; populated around the fork
-
-
-@functools.cache
-def _openblas_threads():
-    """``(get, set)`` thread-count functions of the OpenBLAS bundled in
-    numpy's wheel, or None.  Loading the library numpy already loaded by
-    its path hands back that same copy, so the count set is numpy's."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        # numpy >= 2 wheels ship scipy-openblas, older ones openblas, both
-        # built with 64-bit integers (the 64_ suffix)
-        for prefix in ("scipy_openblas", "openblas"):
-            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
-            put = getattr(lib, f"{prefix}_set_num_threads64_", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-def _blas_limiter() -> str:
-    """The BLAS thread limiter this process has: ``threadpoolctl`` when it
-    imports, else ``openblas`` (numpy's bundled OpenBLAS, set through
-    ctypes), else ``none``."""
-    try:
-        import threadpoolctl  # noqa: F401
-
-        return "threadpoolctl"
-    except ImportError:
-        return "openblas" if _openblas_threads() is not None else "none"
-
-
-def _blas_thread_count(limiter: str) -> int:
-    """BLAS threads in use now, as ``limiter`` reads them; 0 if unreadable."""
-    if limiter == "threadpoolctl":
-        from threadpoolctl import threadpool_info
-
-        return max((m["num_threads"] for m in threadpool_info() if m["user_api"] == "blas"), default=0)
-    if limiter == "openblas":
-        return _openblas_threads()[0]()
-    return 0
-
-
-@contextlib.contextmanager
-def _blas_single_thread(limiter: str):
-    """Single-threaded BLAS for the per-tensor phase, the previous count
-    restored on exit; yields the count read inside.  Forked workers would
-    otherwise oversubscribe the cores, and limiting both the parallel and
-    the sequential path keeps their results bit-identical."""
-    if limiter == "threadpoolctl":
-        from threadpoolctl import threadpool_limits
-
-        with threadpool_limits(limits=1):
-            yield _blas_thread_count(limiter)
-    elif limiter == "openblas":
-        get, put = _openblas_threads()
-        before = get()
-        put(1)
-        try:
-            yield get()
-        finally:
-            put(before)
-    else:
-        yield 0
+_FORK_STATE: list = []  # [state, entries]; populated around the fork
 
 
 def _gc_worker(args: tuple[int, int]) -> tuple[int, list[ParamCheck]]:
     worker, stride = args
-    st, entries, limiter = _FORK_STATE
-    with _blas_single_thread(limiter) as threads:
+    st, entries = _FORK_STATE
+    with _blas().hold() as threads:
         return threads, [_check_entry(st, e) for e in entries[worker::stride]]
 
 
@@ -898,10 +896,13 @@ def gradcheck(
     limited to one thread per worker, else one, with a ``RuntimeWarning``.
 
     Raises :class:`InvalidCheckSettings` unless ``eps`` is positive and
-    finite and ``sample_count`` at least 1.
+    finite, ``tolerance`` non-negative and finite, and ``sample_count`` at
+    least 1.  An infinite tolerance would pass any error and skip no kink.
     """
     if not 0 < eps < math.inf:
         raise InvalidCheckSettings(f"eps must be positive and finite, got {eps!r}")
+    if not 0 <= tolerance < math.inf:
+        raise InvalidCheckSettings(f"tolerance must be non-negative and finite, got {tolerance!r}")
     if sample_count < 1:
         raise InvalidCheckSettings(f"sample count must be at least 1, got {sample_count!r}")
     start = time.monotonic()
@@ -929,8 +930,8 @@ def gradcheck(
     st = _GcState(graph, ex, acts, pgrads, kink_ctx, eps, tolerance, sample_count, seed)
     entries = param_entries(graph)
 
-    limiter = _blas_limiter()
-    if limiter == "none":
+    blas = _blas()
+    if blas.name == "none":
         warnings.warn(
             "gradcheck: no BLAS thread limiter (threadpoolctl does not import and numpy "
             "bundles no OpenBLAS), so BLAS keeps its own thread count"
@@ -939,12 +940,12 @@ def gradcheck(
             stacklevel=2,
         )
     if workers is None:
-        workers = min(2, os.cpu_count() or 1) if limiter != "none" else 1
+        workers = min(2, os.cpu_count() or 1) if blas.name != "none" else 1
     results: list[ParamCheck]
     if workers > 1 and hasattr(os, "fork"):
         import multiprocessing as mp
 
-        _FORK_STATE[:] = [st, entries, limiter]
+        _FORK_STATE[:] = [st, entries]
         try:
             with mp.get_context("fork").Pool(workers) as pool:
                 parts = pool.map(_gc_worker, [(w, workers) for w in range(workers)])
@@ -955,7 +956,7 @@ def gradcheck(
         results = [by_name[name] for name, _, _, _ in entries]
     else:
         workers = 1
-        with _blas_single_thread(limiter) as threads:
+        with blas.hold() as threads:
             results = [_check_entry(st, e) for e in entries]
 
     return GradCheckReport(
@@ -967,7 +968,7 @@ def gradcheck(
         params=tuple(results),
         elapsed_seconds=time.monotonic() - start,
         workers=workers,
-        blas_limiter=limiter,
+        blas_limiter=blas.name,
         blas_threads=threads,
     )
 

@@ -51,6 +51,27 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(r.stdout)["canonical"] == "1v1"
 
 
+def test_import_starts_no_pools_and_builds_no_blas_handle():
+    # cost queries import the package and never run a forward, so importing
+    # must not pay for lanes, worker pools or the BLAS handle
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    probe = (
+        "import json, sys; import uhrkit, uhrkit.cli; "
+        "heavy = ('concurrent.futures', 'multiprocessing', 'threadpoolctl'); "
+        "print(json.dumps([[m for m in heavy if m in sys.modules], uhrkit.runtime._blas.cache_info().currsize]))"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [[], 0]
+
+
 def test_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "parse", "1v^")
     assert code == 2
@@ -248,13 +269,14 @@ def test_forward_json_reports_dtype_time_and_finiteness(tmp_path, capsys):
         assert doc["finite"] is finite is bool(np.isfinite(ops.read_tensor(yfile).data).all())
         assert isinstance(doc["elapsed_s"], float) and doc["elapsed_s"] >= 0
         assert ("warning:" in err) is not finite
-        limiter = runtime._blas_limiter()
-        assert (doc["blas_limiter"], doc["blas_threads"]) == (limiter, runtime._blas_thread_count(limiter))
+        blas = runtime._blas()
+        assert (doc["blas_limiter"], doc["blas_threads"]) == (blas.name, blas.threads())
         g = infer_shapes(presets.build("uhrnet-w18-small-va"), data.shape)
-        assert doc["lanes"] == max(1, runtime._forward_lanes(g)) == 1  # too small to open lanes
+        assert doc["lanes"] == max(1, runtime._forward_lanes(g)[2]) == 1  # too small to open lanes
+    limiter = blas.name
     if limiter != "none":  # the count is read when the pass runs
         argv = ["forward", "--preset", "uhrnet-w18-small-va", "--input-file", str(xfile), "--out-file", str(yfile)]
-        with runtime._blas_single_thread(limiter):
+        with blas.hold():
             doc = json.loads(run(capsys, *argv, "--json")[1])
             text = run(capsys, *argv)[1]
         assert (doc["blas_limiter"], doc["blas_threads"], doc["lanes"]) == (limiter, 1, 1)
@@ -299,7 +321,9 @@ def test_gradcheck_micro_zero_tolerance_exit_5(capsys):
     assert doc["params"]  # per-parameter entries listed
 
 
-@pytest.mark.parametrize("setting", ["--eps=0", "--eps=-1e-4", "--samples=0"])
+@pytest.mark.parametrize(
+    "setting", ["--eps=0", "--eps=-1e-4", "--samples=0", "--tol=inf", "--tol=nan", "--tol=-1e-5"]
+)
 def test_gradcheck_bad_settings_exit_2(capsys, setting):
     code, out, err = run(capsys, "gradcheck", "--micro", setting)
     assert code == 2

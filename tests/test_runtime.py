@@ -1,10 +1,12 @@
 import contextlib
 import inspect
 import struct
+import sys
 import threading
 import tracemalloc
+import types
 import zlib
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -353,7 +355,8 @@ def test_every_preset_runs_finite_forward_and_backward():
     for name in presets.names():
         g = infer_shapes(presets.build(name), shape)
         store = init_weights(g, 11).astype(np.float64)
-        out, acts = run_forward(g, store, x, keep_activations=True, check_finite=True)
+        out, acts = run_forward(g, store, x, keep_activations=True)
+        assert [nid for nid, a in acts.items() if not np.isfinite(a).all()] == [], name
         grads, _input_grad, _ = run_backward(g, store, acts, np.full(out.shape, 1.0 / out.size))
         assert all(np.isfinite(v).all() for v in grads.values()), name
 
@@ -440,7 +443,7 @@ def test_gradcheck_report_fields():
     assert len(doc["params"]) == len(param_entries(g))
     assert doc["workers"] == 1
     assert doc["blas_limiter"] in ("threadpoolctl", "openblas", "none")
-    assert doc["blas_limiter"] == runtime._blas_limiter()
+    assert doc["blas_limiter"] == runtime._blas().name
     assert doc["blas_threads"] == (0 if doc["blas_limiter"] == "none" else 1)
     assert doc["nonfinite"] == 0
     assert all(p["nonfinite"] == 0 for p in doc["params"])
@@ -455,29 +458,70 @@ def test_gradcheck_report_fields():
     assert all(name in text for name in rep.unchecked)
 
 
+def check_hold_restores(blas):
+    """``blas.hold()`` reads one thread inside and restores the count on the
+    way out, also out of an error."""
+    before = blas.threads()
+    assert before >= 1
+    with blas.hold() as inside:
+        assert inside == 1
+        assert blas.threads() == 1
+    assert blas.threads() == before
+    with pytest.raises(KeyError):
+        with blas.hold():
+            raise KeyError("restored on the way out of an error too")
+    assert blas.threads() == before
+
+
 @pytest.mark.skipif(
-    runtime._blas_limiter() == "none",
+    runtime._blas().name == "none",
     reason="no BLAS thread limiter on this machine (neither threadpoolctl nor numpy's OpenBLAS)",
 )
 def test_blas_single_thread_limits_then_restores():
-    limiter = runtime._blas_limiter()
-    before = runtime._blas_thread_count(limiter)
-    assert before >= 1
-    with runtime._blas_single_thread(limiter) as inside:
-        assert inside == 1
-        assert runtime._blas_thread_count(limiter) == 1
-    assert runtime._blas_thread_count(limiter) == before
-    with pytest.raises(KeyError):
-        with runtime._blas_single_thread(limiter):
-            raise KeyError("restored on the way out of an error too")
-    assert runtime._blas_thread_count(limiter) == before
+    check_hold_restores(runtime._blas())
+
+
+def test_threadpoolctl_handle_reads_holds_and_restores(monkeypatch):
+    # threadpoolctl is optional, so a stand-in module runs the handle's
+    # branch for it wherever the real one is not installed
+    state = {"threads": 3, "limits": []}
+
+    @contextlib.contextmanager
+    def threadpool_limits(limits=None, user_api=None):
+        before = state["threads"]
+        state["limits"].append((limits, user_api))
+        state["threads"] = limits
+        try:
+            yield
+        finally:
+            state["threads"] = before
+
+    def threadpool_info():
+        return [{"user_api": "openmp", "num_threads": 8}, {"user_api": "blas", "num_threads": state["threads"]}]
+
+    stub = types.ModuleType("threadpoolctl")
+    stub.threadpool_limits, stub.threadpool_info = threadpool_limits, threadpool_info
+    monkeypatch.setitem(sys.modules, "threadpoolctl", stub)
+    runtime._blas.cache_clear()
+    try:
+        blas = runtime._blas()
+        assert blas.name == "threadpoolctl"
+        assert blas.threads() == 3
+        check_hold_restores(blas)
+        assert state["limits"] == [(1, None), (1, None)]  # threadpool_limits(limits=1)
+        g = tiny_graph()
+        rep = gradcheck(g, init_weights(g, 1), verification_input((1, 3, 64, 64), 1), sample_count=2, seed=1, workers=1)
+        assert (rep.blas_limiter, rep.blas_threads) == ("threadpoolctl", 1)
+        assert state["threads"] == 3
+    finally:
+        runtime._blas.cache_clear()  # the next caller builds the real handle
 
 
 def test_gradcheck_without_limiter_warns_and_uses_one_worker(monkeypatch):
     g = tiny_graph()
     store = init_weights(g, 1)
     x = verification_input((1, 3, 64, 64), 1)
-    monkeypatch.setattr(runtime, "_blas_limiter", lambda: "none")
+    monkeypatch.setattr(runtime, "_blas", lambda: runtime._Blas("none", lambda: 0, lambda n: contextlib.nullcontext()))
     with pytest.warns(RuntimeWarning, match="1 worker"):
         rep = gradcheck(g, store, x, sample_count=2, seed=1, workers=None)
     assert rep.workers == 1
@@ -493,6 +537,16 @@ def test_gradcheck_rejects_bad_eps(eps):
     x = verification_input((1, 3, 64, 64), 1)
     with pytest.raises(ValueError, match="eps"):
         gradcheck(g, store, x, eps=eps, sample_count=2, workers=1)
+
+
+@pytest.mark.parametrize("tolerance", [-1e-5, float("nan"), float("inf")])
+def test_gradcheck_rejects_bad_tolerance(tolerance):
+    # an infinite tolerance would pass any error and turn off every kink skip
+    g = tiny_graph()
+    store = init_weights(g, 1)
+    x = verification_input((1, 3, 64, 64), 1)
+    with pytest.raises(runtime.InvalidCheckSettings, match="tolerance"):
+        gradcheck(g, store, x, tolerance=tolerance, sample_count=2, workers=1)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -532,7 +586,7 @@ def test_gradcheck_nan_difference_fails_its_tensor(monkeypatch):
 # forward lanes
 
 needs_limiter = pytest.mark.skipif(
-    runtime._blas_limiter() == "none",
+    runtime._blas().name == "none",
     reason="no BLAS thread limiter on this machine (neither threadpoolctl nor numpy's OpenBLAS)",
 )
 
@@ -540,25 +594,13 @@ needs_limiter = pytest.mark.skipif(
 @contextlib.contextmanager
 def blas_threads(n):
     """BLAS set to ``n`` threads, and so ``run_forward`` to ``n`` lanes."""
-    limiter = runtime._blas_limiter()
-    if limiter == "threadpoolctl":
-        from threadpoolctl import threadpool_limits
-
-        with threadpool_limits(limits=n, user_api="blas"):
-            yield
-    else:
-        get, put = runtime._openblas_threads()
-        before = get()
-        put(n)
-        try:
-            yield
-        finally:
-            put(before)
-    assert runtime._blas_thread_count(limiter) >= 1
+    with runtime._blas().limit(n):
+        yield
+    assert runtime._blas().threads() >= 1
 
 
 def split_everything(monkeypatch, band_bytes=None):
-    monkeypatch.setattr(ops, "LANE_MACS", 0)
+    monkeypatch.setattr(runtime, "LANE_MACS", 0)
     monkeypatch.setattr(ops, "SPLIT_MACS", 0)
     monkeypatch.setattr(ops, "SPLIT_MACS_1X1", 0)
     monkeypatch.setattr(ops, "SPLIT_BYTES", 0)
@@ -578,7 +620,7 @@ def test_forward_bytes_do_not_depend_on_the_lanes(monkeypatch, dtype, band_bytes
         outs = {}
         for lanes in (1, 2):
             with blas_threads(lanes):
-                assert runtime._forward_lanes(g) == lanes
+                assert runtime._forward_lanes(g)[1:] == (lanes, lanes)
                 outs[lanes], _ = run_forward(g, store, x)
         assert outs[1].dtype == dtype
         assert outs[1].tobytes() == outs[2].tobytes()
@@ -589,31 +631,32 @@ def test_only_large_forwards_on_few_blas_threads_open_lanes(monkeypatch):
     g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
     store = init_weights(g, 5)
     x = verification_input(presets.MICRO_INPUT_SHAPE, 5).data
-    limiter = runtime._blas_limiter()
+    blas = runtime._blas()
     seen = []  # (lanes, BLAS threads) inside each batchnorm call
     batchnorm = ops.batchnorm_fwd
 
     def watched(*args, **kwargs):
-        seen.append((ops._LANES.get()[1], runtime._blas_thread_count(limiter)))
+        seen.append((ops._LANES.get()[1], blas.threads()))
         return batchnorm(*args, **kwargs)
 
     monkeypatch.setattr(ops, "batchnorm_fwd", watched)
     with blas_threads(2):
-        # below LANE_MACS the forward runs as before the lanes: no lane, and
-        # BLAS keeps its own thread count
-        monkeypatch.setattr(ops, "LANE_MACS", runtime._conv_macs(g) + 1)
-        assert runtime._forward_lanes(g) == 0
+        # below LANE_MACS the forward opens no lane, and BLAS keeps its own
+        # thread count
+        monkeypatch.setattr(runtime, "LANE_MACS", runtime._conv_macs(g) + 1)
+        assert runtime._forward_lanes(g) == (blas, 2, 0)
         run_forward(g, store, x)
         assert set(seen) == {(0, 2)}
         seen.clear()
-        monkeypatch.setattr(ops, "LANE_MACS", runtime._conv_macs(g))
-        assert runtime._forward_lanes(g) == 2
+        monkeypatch.setattr(runtime, "LANE_MACS", runtime._conv_macs(g))
+        assert runtime._forward_lanes(g) == (blas, 2, 2)
         run_forward(g, store, x)
         assert set(seen) == {(2, 1)}
-        assert runtime._blas_thread_count(limiter) == 2  # restored
+        assert blas.threads() == 2  # restored
     # more BLAS threads than GEMM_PARTS were never measured: no lanes either
-    monkeypatch.setattr(runtime, "_blas_thread_count", lambda limiter: ops.GEMM_PARTS + 1)
-    assert runtime._forward_lanes(g) == 0
+    many = replace(blas, threads=lambda: ops.GEMM_PARTS + 1)
+    monkeypatch.setattr(runtime, "_blas", lambda: many)
+    assert runtime._forward_lanes(g) == (many, ops.GEMM_PARTS + 1, 0)
 
 
 @needs_limiter

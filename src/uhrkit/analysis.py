@@ -278,8 +278,12 @@ class CalibrationResult:
     convention: CostConvention
     residuals: dict[str, float]  # per-baseline signed relative error
     max_abs_residual: float
-    within_tolerance: bool  # best residual <= 5%
+    within_tolerance: bool  # best residual <= CALIBRATION_WARN
 
+
+# a calibration whose best convention misses a baseline by more than this
+# relative error is flagged, not raised
+CALIBRATION_WARN = 0.05
 
 # the space calibration searches, in scoring order
 _CONVENTIONS = tuple(
@@ -296,9 +300,7 @@ _CONVENTIONS = tuple(
 )
 
 
-def calibrate_convention(
-    baselines: list[tuple[LayerGraph, float]], warn_threshold: float = 0.05
-) -> CalibrationResult:
+def calibrate_convention(baselines: list[tuple[LayerGraph, float]]) -> CalibrationResult:
     """Pick the convention that best reproduces published baseline costs.
 
     ``baselines`` pairs shaped graphs with their published GFLOPs.  The full
@@ -307,7 +309,7 @@ def calibrate_convention(
     figures carry one decimal (about ±0.07% relative), so conventions
     within 0.25% of the best are treated as ties and resolved by parsimony:
     fewest non-convolution element terms, then the smaller MAC factor.
-    When even the best exceeds ``warn_threshold`` the result is flagged
+    When even the best exceeds ``CALIBRATION_WARN`` the result is flagged
     rather than raised, so callers can still inspect the residuals.
     """
     if not baselines:
@@ -344,7 +346,7 @@ def calibrate_convention(
         convention=conv,
         residuals=residuals,
         max_abs_residual=worst,
-        within_tolerance=worst <= warn_threshold,
+        within_tolerance=worst <= CALIBRATION_WARN,
     )
 
 

@@ -35,8 +35,7 @@ REFERENCE_GFLOPS: dict[str, float] = {
 }
 
 BASELINE_GFLOPS: dict[str, float] = {
-    "hrnetv2-w18-small-v2": 71.6,
-    "hrnetv2-w48": 696.2,
+    name: REFERENCE_GFLOPS[name] for name in ("hrnetv2-w18-small-v2", "hrnetv2-w48")
 }
 
 

@@ -36,13 +36,15 @@ fast and sound:
   difference is exact up to rounding.  Sampled, compared, and skipped
   counts are reported per parameter.
 
-Parameters are checked in forked workers, each with BLAS limited to one
-thread so the workers do not oversubscribe the cores.  The limit goes
-through ``threadpoolctl`` when it imports, else straight to the OpenBLAS
-bundled in numpy's wheel; with neither, the check warns and defaults to one
-worker.  The report records the workers, the limiter and the BLAS thread
-count it ran with.  One handle, :func:`_blas`, built on first use and never
-at import, carries that choice for the checker and the forward alike.
+Parameters are checked in forked workers, two on a host with two or more
+cores, each with BLAS limited to one thread so the workers do not
+oversubscribe the cores; on one core the same worker runs in the calling
+process.  The limit goes through ``threadpoolctl`` when it imports, else
+straight to the OpenBLAS bundled in numpy's wheel; with neither, the check
+warns and runs on one worker.  The report records the workers, the limiter
+and the BLAS thread count it ran with.  One handle, :func:`_blas`, built on
+first use and never at import, carries that choice for the checker and the
+forward alike.
 """
 
 from __future__ import annotations
@@ -591,6 +593,9 @@ def run_backward(
 # gradient verification
 
 
+WORST_SHOWN = 10  # parameters the text report lists as the worst
+
+
 @dataclass(frozen=True)
 class ParamCheck:
     name: str
@@ -648,8 +653,9 @@ class GradCheckReport:
     @property
     def fully_sampled(self) -> bool:
         """Every parameter had at least min(sample_count, size) coordinates
-        examined (kink-straddling intervals among them are reported, not
-        silently dropped)."""
+        examined.  This holds for every report by construction: the check
+        stops sampling a tensor only after examining that many.  It stays
+        because ``gradcheck --json`` readers check it."""
         return all(p.sampled >= min(self.sample_count, p.size) for p in self.params)
 
     def to_json_dict(self) -> dict:
@@ -684,8 +690,8 @@ class GradCheckReport:
             ],
         }
 
-    def to_text(self, top: int = 10) -> str:
-        worst = sorted(self.params, key=lambda p: (-p.nonfinite, -p.max_rel_err))[:top]
+    def to_text(self) -> str:
+        worst = sorted(self.params, key=lambda p: (-p.nonfinite, -p.max_rel_err))[:WORST_SHOWN]
         lines = [
             f"gradcheck: {self.total_sampled} coordinates sampled over {len(self.params)} "
             f"parameter tensors, {self.total_checked} compared "
@@ -756,120 +762,136 @@ def _stacked_patch(
     v = params[f"{node.id}.var"]
     for i, idx in enumerate(coords):
         c = int(idx)
-        if kind == "bn.gamma":
-            unit = (x_in[0, c] - m[c]) / np.sqrt(v[c] + ops.BN_EPS)
-            lanes[i, c] += eps * unit
-            lanes[k + i, c] -= eps * unit
-        elif kind == "bn.beta":
-            lanes[i, c] += eps
-            lanes[k + i, c] -= eps
-        elif kind == "bn.mean":
-            slope = g[c] / np.sqrt(v[c] + ops.BN_EPS)
-            lanes[i, c] -= eps * slope
-            lanes[k + i, c] += eps * slope
-        else:  # bn.var, exact recompute of the nudged channel
+        if kind == "bn.var":  # exact recompute of the nudged channel
             lanes[i, c] = g[c] * (x_in[0, c] - m[c]) / np.sqrt(v[c] + eps + ops.BN_EPS) + beta[c]
             lanes[k + i, c] = g[c] * (x_in[0, c] - m[c]) / np.sqrt(v[c] - eps + ops.BN_EPS) + beta[c]
+            continue
+        # the channel's signed slope in the parameter; negating is exact,
+        # so both lanes move by the same magnitude
+        if kind == "bn.gamma":
+            slope = (x_in[0, c] - m[c]) / np.sqrt(v[c] + ops.BN_EPS)
+        elif kind == "bn.beta":
+            slope = 1.0
+        else:  # bn.mean
+            slope = -g[c] / np.sqrt(v[c] + ops.BN_EPS)
+        lanes[i, c] += eps * slope
+        lanes[k + i, c] -= eps * slope
     return lanes
 
 
-class _GcState:
-    """Shared read-only state for the per-tensor check, inherited by forked
-    workers without serialization."""
+class _GradCheck:
+    """One gradient check: its float64 baseline, built once, and
+    :meth:`check`, which checks one parameter tensor against it.  Forked
+    workers inherit the object without serialization."""
 
-    def __init__(self, graph, ex, acts, pgrads, kink_ctx, eps, tolerance, sample_count, seed):
-        self.graph = graph
-        self.ex = ex
-        self.acts = acts
-        self.pgrads = pgrads
-        self.kink_ctx = kink_ctx
-        self.eps = eps
-        self.tolerance = tolerance
-        self.sample_count = sample_count
-        self.seed = seed
-        self.desc_cache: dict[str, list[Node]] = {}
+    def __init__(self, graph, store, x, eps, tolerance, sample_count, seed):
+        arr = (x.data if isinstance(x, Tensor) else np.asarray(x)).astype(np.float64)
+        if not graph.shaped:
+            graph = infer_shapes(graph, tuple(arr.shape))
+        store64 = store.astype(np.float64)
+        self.graph, self.eps, self.tolerance = graph, eps, tolerance
+        self.sample_count, self.seed = sample_count, seed
+        self.entries = param_entries(graph)
+        self.ex = _Exec(graph, store64, np.float64)
+        out, self.acts = run_forward(graph, store64, arr, keep_activations=True)
+        out_grad = np.full(out.shape, 1.0 / out.size, dtype=np.float64)
+        relu_ids = {n.id for n in graph.nodes if n.kind == "relu"}
+        self.pgrads, _, relu_grads = run_backward(graph, store64, self.acts, out_grad, collect=relu_ids)
+        for name, g in self.pgrads.items():
+            if not np.isfinite(g).all():
+                raise NonFiniteGradient(f"analytic gradient of {name} is not finite")
+        # Baseline ReLU states and sensitivities let the replay bound the loss
+        # error a finite difference suffers when an interval straddles a kink;
+        # coordinates whose bound could eat into the pass threshold are skipped.
+        self.kink_ctx = {
+            nid: (self.acts[graph.node(nid).inputs[0]] > 0, np.abs(g)) for nid, g in relu_grads.items()
+        }
+        self.descendants: dict[str, list[Node]] = {}
+
+    def check(self, entry: tuple[str, str, str, tuple[int, ...]]) -> ParamCheck:
+        name, node_id, kind, shape = entry
+        acts, eps = self.acts, self.eps
+        node = self.graph.node(node_id)
+        size = int(np.prod(shape))
+        analytic = np.asarray(self.pgrads.get(name, np.zeros(shape))).reshape(-1)
+        rng = np.random.default_rng((self.seed ^ _fnv1a64(name)) & 0xFFFFFFFFFFFFFFFF)
+        order = rng.permutation(size)
+        want = min(self.sample_count, size)
+        sub = self.descendants.get(node_id)
+        if sub is None:
+            sub = self.descendants[node_id] = _descendants(self.graph, node_id)
+        base_out = acts[node_id]
+        x_in = acts[node.inputs[0]]
+        win = None
+        if kind == "conv.w":
+            a = node.attrs
+            win = ops.conv_windows(x_in, a["k"], a["stride"], a["pad"])
+        gap_budget = 0.5 * self.tolerance
+        checked = skipped = nonfinite = 0
+        pos = 0
+        max_rel = 0.0
+        # sample at least `want` coordinates; hunt past that for kink-free
+        # intervals only up to twice the request, then report what held
+        budget = min(2 * want, size)
+        while checked < want and pos < budget:
+            chunk = order[pos : pos + min(budget - pos, want - checked + 4, 24)]
+            pos += len(chunk)
+            if kind == "bn.var":  # keep var + eps positive on the minus side
+                ok = self.ex.params[f"{node_id}.var"][chunk] - eps + ops.BN_EPS > 0
+                skipped += int((~ok).sum())
+                chunk = chunk[ok]
+                if len(chunk) == 0:
+                    continue
+            k = len(chunk)
+            lanes = _stacked_patch(kind, node, chunk, eps, base_out, x_in, self.ex.params, win)
+            out_lanes, kink_err = self.ex.walk(sub, {node_id: lanes}, base=acts, kink_ctx=self.kink_ctx)
+            # subtract before reducing: the elementwise deltas are tiny and
+            # nearly equal in exponent, so these means are almost exact
+            fd = (out_lanes[:k] - out_lanes[k:]).mean(axis=(1, 2, 3)) / (2 * eps)
+            # sensitivities already carry the 1/size of the mean loss
+            bound = (kink_err[:k] + kink_err[k:]) / (2 * eps)
+            for i, idx in enumerate(chunk):
+                if checked >= want:
+                    break
+                a_val = float(analytic[idx])
+                fd_val = float(fd[i])
+                denom = max(abs(a_val), abs(fd_val), 1e-8)
+                rel = abs(a_val - fd_val) / denom
+                # max() would drop a NaN, so a non-finite comparison is counted
+                # as a failure of its own, never as a kink skip
+                if not (math.isfinite(fd_val) and math.isfinite(rel)):
+                    nonfinite += 1
+                elif bound[i] > gap_budget * denom:
+                    skipped += 1
+                    continue
+                else:
+                    max_rel = max(max_rel, rel)
+                checked += 1
+        return ParamCheck(
+            name=name,
+            size=size,
+            # every coordinate examined was compared or skipped; the look-ahead
+            # left over in the last chunk is not counted
+            sampled=checked + skipped,
+            checked=checked,
+            skipped_kinks=skipped,
+            max_rel_err=max_rel,
+            nonfinite=nonfinite,
+        )
 
 
-def _check_entry(st: _GcState, entry: tuple[str, str, str, tuple[int, ...]]) -> ParamCheck:
-    name, node_id, kind, shape = entry
-    graph, ex, acts, eps = st.graph, st.ex, st.acts, st.eps
-    node = graph.node(node_id)
-    size = int(np.prod(shape))
-    analytic = np.asarray(st.pgrads.get(name, np.zeros(shape))).reshape(-1)
-    rng = np.random.default_rng((st.seed ^ _fnv1a64(name)) & 0xFFFFFFFFFFFFFFFF)
-    order = rng.permutation(size)
-    want = min(st.sample_count, size)
-    sub = st.desc_cache.get(node_id)
-    if sub is None:
-        sub = st.desc_cache[node_id] = _descendants(graph, node_id)
-    base_out = acts[node_id]
-    x_in = acts[node.inputs[0]]
-    win = None
-    if kind == "conv.w":
-        a = node.attrs
-        win = ops.conv_windows(x_in, a["k"], a["stride"], a["pad"])
-    gap_budget = 0.5 * st.tolerance
-    checked = skipped = nonfinite = 0
-    pos = 0
-    max_rel = 0.0
-    # sample at least `want` coordinates; hunt past that for kink-free
-    # intervals only up to twice the request, then report what held
-    budget = min(2 * want, size)
-    while checked < want and pos < budget:
-        chunk = order[pos : pos + min(budget - pos, want - checked + 4, 24)]
-        pos += len(chunk)
-        if kind == "bn.var":  # keep var + eps positive on the minus side
-            ok = ex.params[f"{node_id}.var"][chunk] - eps + ops.BN_EPS > 0
-            skipped += int((~ok).sum())
-            chunk = chunk[ok]
-            if len(chunk) == 0:
-                continue
-        k = len(chunk)
-        lanes = _stacked_patch(kind, node, chunk, eps, base_out, x_in, ex.params, win)
-        out_lanes, kink_err = ex.walk(sub, {node_id: lanes}, base=acts, kink_ctx=st.kink_ctx)
-        # subtract before reducing: the elementwise deltas are tiny and
-        # nearly equal in exponent, so these means are almost exact
-        fd = (out_lanes[:k] - out_lanes[k:]).mean(axis=(1, 2, 3)) / (2 * eps)
-        # sensitivities already carry the 1/size of the mean loss
-        bound = (kink_err[:k] + kink_err[k:]) / (2 * eps)
-        for i, idx in enumerate(chunk):
-            if checked >= want:
-                break
-            a_val = float(analytic[idx])
-            fd_val = float(fd[i])
-            denom = max(abs(a_val), abs(fd_val), 1e-8)
-            rel = abs(a_val - fd_val) / denom
-            # max() would drop a NaN, so a non-finite comparison is counted
-            # as a failure of its own, never as a kink skip
-            if not (math.isfinite(fd_val) and math.isfinite(rel)):
-                nonfinite += 1
-            elif bound[i] > gap_budget * denom:
-                skipped += 1
-                continue
-            else:
-                max_rel = max(max_rel, rel)
-            checked += 1
-    return ParamCheck(
-        name=name,
-        size=size,
-        # every coordinate examined was compared or skipped; the look-ahead
-        # left over in the last chunk is not counted
-        sampled=checked + skipped,
-        checked=checked,
-        skipped_kinks=skipped,
-        max_rel_err=max_rel,
-        nonfinite=nonfinite,
-    )
-
-
-_FORK_STATE: list = []  # [state, entries]; populated around the fork
+_CHECK: list[_GradCheck] = []  # the check in progress, set around the dispatch
+_ONE_CHECK = threading.Lock()  # _CHECK holds one check, so checks run one at a time
 
 
 def _gc_worker(args: tuple[int, int]) -> tuple[int, list[ParamCheck]]:
+    """Check every ``stride``-th parameter tensor from ``worker`` on, with
+    BLAS held at one thread; returns the thread count read there and the
+    results.  The one-worker check runs it in the calling process."""
     worker, stride = args
-    st, entries = _FORK_STATE
+    (check,) = _CHECK
     with _blas().hold() as threads:
-        return threads, [_check_entry(st, e) for e in entries[worker::stride]]
+        return threads, [check.check(e) for e in check.entries[worker::stride]]
 
 
 def gradcheck(
@@ -880,7 +902,6 @@ def gradcheck(
     tolerance: float = 1e-5,
     sample_count: int = 20,
     seed: int = 0,
-    workers: int | None = None,
 ) -> GradCheckReport:
     """Verify reverse-mode gradients of every parameter tensor.
 
@@ -892,8 +913,9 @@ def gradcheck(
     the comparison are reported as skipped, and up to ``2 * sample_count``
     draws are spent looking for clean replacements.  A comparison whose
     finite difference or relative error is not finite fails its tensor.
-    Results do not depend on ``workers``; by default two when BLAS can be
-    limited to one thread per worker, else one, with a ``RuntimeWarning``.
+    The check runs on ``min(2, os.cpu_count())`` forked workers when BLAS
+    can be limited to one thread per worker, else on one, with a
+    ``RuntimeWarning``; results do not depend on the worker count.
 
     Raises :class:`InvalidCheckSettings` unless ``eps`` is positive and
     finite, ``tolerance`` non-negative and finite, and ``sample_count`` at
@@ -906,70 +928,41 @@ def gradcheck(
     if sample_count < 1:
         raise InvalidCheckSettings(f"sample count must be at least 1, got {sample_count!r}")
     start = time.monotonic()
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    arr = arr.astype(np.float64)
-    if not graph.shaped:
-        graph = infer_shapes(graph, tuple(arr.shape))
-    store64 = store.astype(np.float64)
-    ex = _Exec(graph, store64, np.float64)
-
-    out, acts = run_forward(graph, store64, arr, keep_activations=True)
-    out_grad = np.full(out.shape, 1.0 / out.size, dtype=np.float64)
-    relu_ids = {n.id for n in graph.nodes if n.kind == "relu"}
-    pgrads, _, relu_grads = run_backward(graph, store64, acts, out_grad, collect=relu_ids)
-    for name, g in pgrads.items():
-        if not np.isfinite(g).all():
-            raise NonFiniteGradient(f"analytic gradient of {name} is not finite")
-
-    # Baseline ReLU states and sensitivities let the replay bound the loss
-    # error a finite difference suffers when an interval straddles a kink;
-    # coordinates whose bound could eat into the pass threshold are skipped.
-    kink_ctx = {
-        nid: (acts[graph.node(nid).inputs[0]] > 0, np.abs(g)) for nid, g in relu_grads.items()
-    }
-    st = _GcState(graph, ex, acts, pgrads, kink_ctx, eps, tolerance, sample_count, seed)
-    entries = param_entries(graph)
-
+    check = _GradCheck(graph, store, x, eps, tolerance, sample_count, seed)
     blas = _blas()
     if blas.name == "none":
         warnings.warn(
             "gradcheck: no BLAS thread limiter (threadpoolctl does not import and numpy "
-            "bundles no OpenBLAS), so BLAS keeps its own thread count"
-            + ("; checking with 1 worker" if workers is None else ""),
+            "bundles no OpenBLAS), so BLAS keeps its own thread count; checking with 1 worker",
             RuntimeWarning,
             stacklevel=2,
         )
-    if workers is None:
-        workers = min(2, os.cpu_count() or 1) if blas.name != "none" else 1
-    results: list[ParamCheck]
-    if workers > 1 and hasattr(os, "fork"):
-        import multiprocessing as mp
-
-        _FORK_STATE[:] = [st, entries]
+    workers = min(2, os.cpu_count() or 1) if blas.name != "none" and hasattr(os, "fork") else 1
+    tasks = [(w, workers) for w in range(workers)]
+    with _ONE_CHECK:
+        _CHECK[:] = [check]
         try:
-            with mp.get_context("fork").Pool(workers) as pool:
-                parts = pool.map(_gc_worker, [(w, workers) for w in range(workers)])
-        finally:
-            _FORK_STATE.clear()
-        threads = max(t for t, _ in parts)
-        by_name = {p.name: p for _, part in parts for p in part}
-        results = [by_name[name] for name, _, _, _ in entries]
-    else:
-        workers = 1
-        with blas.hold() as threads:
-            results = [_check_entry(st, e) for e in entries]
+            if workers == 1:
+                parts = [_gc_worker(tasks[0])]
+            else:
+                import multiprocessing as mp
 
+                with mp.get_context("fork").Pool(workers) as pool:
+                    parts = pool.map(_gc_worker, tasks)
+        finally:
+            _CHECK.clear()
+    by_name = {p.name: p for _, part in parts for p in part}
     return GradCheckReport(
         eps=eps,
         tolerance=tolerance,
         dtype="float64",
         sample_count=sample_count,
         seed=seed,
-        params=tuple(results),
+        params=tuple(by_name[name] for name, _, _, _ in check.entries),
         elapsed_seconds=time.monotonic() - start,
         workers=workers,
         blas_limiter=blas.name,
-        blas_threads=threads,
+        blas_threads=max(t for t, _ in parts),
     )
 
 

@@ -5,8 +5,10 @@ report; each criterion is also a separate test so ``pytest -v`` gives the
 same verdicts through test outcomes.
 """
 
+import json
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +130,19 @@ def test_criterion_gradient_verification():
         f"({rep.total_skipped} intervals straddled a ReLU kink and were excluded)",
     )
     report(elapsed < 60, "micro gradcheck under 60 s", f"{elapsed:.1f}s")
+    # the per-tensor counts and the unchecked list are pinned; max_rel_err
+    # is rounding noise that moves with the BLAS kernel, so it is not
+    golden = json.loads((Path(__file__).parent / "golden" / "gradcheck_micro_seed7.json").read_text())
+    counts = {
+        p.name: {"sampled": p.sampled, "checked": p.checked, "skipped_kinks": p.skipped_kinks, "nonfinite": p.nonfinite}
+        for p in rep.params
+    }
+    moved = [name for name in counts.keys() | golden["params"].keys() if counts.get(name) != golden["params"].get(name)]
+    report(
+        list(counts) == list(golden["params"]) and not moved and rep.unchecked == golden["unchecked"],
+        "micro gradcheck counts match the golden",
+        f"{len(moved)} tensors differ" + (f", e.g. {sorted(moved)[0]}" if moved else ""),
+    )
 
 
 def test_criterion_conv_matches_naive_oracle():

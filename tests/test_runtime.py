@@ -1,8 +1,10 @@
 import contextlib
 import inspect
+import os
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 import types
 import zlib
@@ -364,29 +366,42 @@ def test_every_preset_runs_finite_forward_and_backward():
 # ---------------------------------------------------------------------------
 # gradient verification
 
+needs_limiter = pytest.mark.skipif(
+    runtime._blas().name == "none",
+    reason="no BLAS thread limiter on this machine (neither threadpoolctl nor numpy's OpenBLAS)",
+)
 
-def test_gradcheck_tiny_graph_passes():
+
+def cores(monkeypatch, n: int) -> None:
+    """Make the host report ``n`` cores, which sets the checker's workers."""
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def test_gradcheck_tiny_graph_passes(monkeypatch):
+    cores(monkeypatch, 1)
     g = tiny_graph()
     store = init_weights(g, 7)
     x = verification_input((1, 3, 64, 64), 7)
-    rep = gradcheck(g, store, x, eps=1e-4, tolerance=1e-5, sample_count=6, seed=7, workers=1)
+    rep = gradcheck(g, store, x, eps=1e-4, tolerance=1e-5, sample_count=6, seed=7)
     assert rep.passed
     assert rep.fully_sampled
     assert rep.max_rel_err < 1e-5
     assert rep.total_checked > 100
 
 
-def test_gradcheck_zero_tolerance_fails():
+def test_gradcheck_zero_tolerance_fails(monkeypatch):
+    cores(monkeypatch, 1)
     g = tiny_graph()
     store = init_weights(g, 7)
     x = verification_input((1, 3, 64, 64), 7)
-    rep = gradcheck(g, store, x, eps=1e-4, tolerance=0.0, sample_count=2, seed=7, workers=1)
+    rep = gradcheck(g, store, x, eps=1e-4, tolerance=0.0, sample_count=2, seed=7)
     assert not rep.passed
 
 
 def test_gradcheck_detects_wrong_gradient(monkeypatch):
     from uhrkit import runtime as rt
 
+    cores(monkeypatch, 1)
     g = tiny_graph()
     store = init_weights(g, 7)
     x = verification_input((1, 3, 64, 64), 7)
@@ -397,13 +412,14 @@ def test_gradcheck_detects_wrong_gradient(monkeypatch):
         return dx, dw * 1.5
 
     monkeypatch.setattr(ops, "conv2d_vjp", broken_vjp)
-    rep = gradcheck(g, store, x, eps=1e-4, tolerance=1e-5, sample_count=4, seed=7, workers=1)
+    rep = gradcheck(g, store, x, eps=1e-4, tolerance=1e-5, sample_count=4, seed=7)
     assert not rep.passed
     assert rep.max_rel_err > 0.1
 
 
 def test_gradcheck_detects_a_1e4_error_in_one_vjp(monkeypatch):
     # a verifier that passes vacuously would miss an error this small
+    cores(monkeypatch, 1)
     g = tiny_graph()
     store = init_weights(g, 7)
     x = verification_input((1, 3, 64, 64), 7)
@@ -414,29 +430,74 @@ def test_gradcheck_detects_a_1e4_error_in_one_vjp(monkeypatch):
         return dx, dg, db, dm, dv * (1 + 1e-4)
 
     monkeypatch.setattr(ops, "batchnorm_vjp", skewed_vjp)
-    rep = gradcheck(g, store, x, eps=1e-4, tolerance=1e-5, sample_count=6, seed=7, workers=1)
+    rep = gradcheck(g, store, x, eps=1e-4, tolerance=1e-5, sample_count=6, seed=7)
     assert not rep.passed
     assert 5e-5 < rep.max_rel_err < 2e-4
     failed = [p.name for p in rep.params if p.max_rel_err >= rep.tolerance]
     assert failed and all(name.endswith(".var") for name in failed)
 
 
-def test_gradcheck_workers_do_not_change_results():
+@needs_limiter
+def test_gradcheck_workers_do_not_change_results(monkeypatch):
+    # one core runs the forked workers' entry point once, in the calling
+    # process and thread, over every tensor
     g = tiny_graph()
     store = init_weights(g, 3)
     x = verification_input((1, 3, 64, 64), 3)
-    a = gradcheck(g, store, x, sample_count=3, seed=3, workers=1)
-    b = gradcheck(g, store, x, sample_count=3, seed=3, workers=2)
-    assert [(p.name, p.checked, p.max_rel_err) for p in a.params] == [
-        (p.name, p.checked, p.max_rel_err) for p in b.params
-    ]
+    calls = []
+    worker = runtime._gc_worker
+
+    def recorded(args):
+        calls.append((args, os.getpid(), threading.get_ident()))
+        return worker(args)
+
+    cores(monkeypatch, 1)
+    monkeypatch.setattr(runtime, "_gc_worker", recorded)
+    a = gradcheck(g, store, x, sample_count=3, seed=3)
+    assert calls == [((0, 1), os.getpid(), threading.get_ident())]
+    assert a.workers == 1
+    monkeypatch.undo()
+    cores(monkeypatch, 2)
+    b = gradcheck(g, store, x, sample_count=3, seed=3)
+    assert b.workers == 2
+    assert replace(b, workers=1, elapsed_seconds=0.0) == replace(a, elapsed_seconds=0.0)
 
 
-def test_gradcheck_report_fields():
+def test_gradcheck_in_two_threads_keeps_each_check(monkeypatch):
+    # the one-worker check reads the check in progress from module state, so
+    # a check in a second thread must wait instead of replacing it mid-run
+    cores(monkeypatch, 1)
+    g = tiny_graph()
+    x = verification_input((1, 3, 64, 64), 1)
+    stores = [init_weights(g, 1), init_weights(g, 2)]
+    alone = [gradcheck(g, store, x, sample_count=1, seed=1) for store in stores]
+    worker = runtime._gc_worker
+
+    def slow(args):
+        time.sleep(0.5)  # time for the other thread to build its baseline
+        return worker(args)
+
+    monkeypatch.setattr(runtime, "_gc_worker", slow)
+    got = [None, None]
+
+    def run(i):
+        got[i] = gradcheck(g, stores[i], x, sample_count=1, seed=1)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert [replace(r, elapsed_seconds=0.0) for r in got] == [replace(r, elapsed_seconds=0.0) for r in alone]
+
+
+def test_gradcheck_report_fields(monkeypatch):
+    cores(monkeypatch, 1)
     g = tiny_graph()
     store = init_weights(g, 1)
     x = verification_input((1, 3, 64, 64), 1)
-    rep = gradcheck(g, store, x, sample_count=2, seed=1, workers=1)
+    rep = gradcheck(g, store, x, sample_count=2, seed=1)
     doc = rep.to_json_dict()
     assert doc["dtype"] == "float64"
     assert doc["eps"] == 1e-4
@@ -510,7 +571,8 @@ def test_threadpoolctl_handle_reads_holds_and_restores(monkeypatch):
         check_hold_restores(blas)
         assert state["limits"] == [(1, None), (1, None)]  # threadpool_limits(limits=1)
         g = tiny_graph()
-        rep = gradcheck(g, init_weights(g, 1), verification_input((1, 3, 64, 64), 1), sample_count=2, seed=1, workers=1)
+        cores(monkeypatch, 1)
+        rep = gradcheck(g, init_weights(g, 1), verification_input((1, 3, 64, 64), 1), sample_count=2, seed=1)
         assert (rep.blas_limiter, rep.blas_threads) == ("threadpoolctl", 1)
         assert state["threads"] == 3
     finally:
@@ -522,8 +584,9 @@ def test_gradcheck_without_limiter_warns_and_uses_one_worker(monkeypatch):
     store = init_weights(g, 1)
     x = verification_input((1, 3, 64, 64), 1)
     monkeypatch.setattr(runtime, "_blas", lambda: runtime._Blas("none", lambda: 0, lambda n: contextlib.nullcontext()))
+    cores(monkeypatch, 2)  # one worker all the same: BLAS cannot be held at one thread
     with pytest.warns(RuntimeWarning, match="1 worker"):
-        rep = gradcheck(g, store, x, sample_count=2, seed=1, workers=None)
+        rep = gradcheck(g, store, x, sample_count=2, seed=1)
     assert rep.workers == 1
     assert rep.blas_limiter == "none"
     assert rep.blas_threads == 0
@@ -536,7 +599,7 @@ def test_gradcheck_rejects_bad_eps(eps):
     store = init_weights(g, 1)
     x = verification_input((1, 3, 64, 64), 1)
     with pytest.raises(ValueError, match="eps"):
-        gradcheck(g, store, x, eps=eps, sample_count=2, workers=1)
+        gradcheck(g, store, x, eps=eps, sample_count=2)
 
 
 @pytest.mark.parametrize("tolerance", [-1e-5, float("nan"), float("inf")])
@@ -546,7 +609,7 @@ def test_gradcheck_rejects_bad_tolerance(tolerance):
     store = init_weights(g, 1)
     x = verification_input((1, 3, 64, 64), 1)
     with pytest.raises(runtime.InvalidCheckSettings, match="tolerance"):
-        gradcheck(g, store, x, tolerance=tolerance, sample_count=2, workers=1)
+        gradcheck(g, store, x, tolerance=tolerance, sample_count=2)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -555,7 +618,7 @@ def test_gradcheck_rejects_no_samples(samples):
     store = init_weights(g, 1)
     x = verification_input((1, 3, 64, 64), 1)
     with pytest.raises(ValueError, match="sample count"):
-        gradcheck(g, store, x, sample_count=samples, workers=1)
+        gradcheck(g, store, x, sample_count=samples)
 
 
 def test_gradcheck_nan_difference_fails_its_tensor(monkeypatch):
@@ -572,7 +635,8 @@ def test_gradcheck_nan_difference_fails_its_tensor(monkeypatch):
         return lanes
 
     monkeypatch.setattr(runtime, "_stacked_patch", nan_patch)
-    rep = gradcheck(g, store, x, sample_count=2, seed=1, workers=1)
+    cores(monkeypatch, 1)
+    rep = gradcheck(g, store, x, sample_count=2, seed=1)
     bad = {p.name: p for p in rep.params}[target]
     assert bad.nonfinite >= 1
     assert all(p.nonfinite == 0 for p in rep.params if p.name != target)
@@ -584,11 +648,6 @@ def test_gradcheck_nan_difference_fails_its_tensor(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # forward lanes
-
-needs_limiter = pytest.mark.skipif(
-    runtime._blas().name == "none",
-    reason="no BLAS thread limiter on this machine (neither threadpoolctl nor numpy's OpenBLAS)",
-)
 
 
 @contextlib.contextmanager
@@ -698,8 +757,9 @@ def test_lanes_stay_inside_ops_and_end_with_the_forward(monkeypatch):
     assert public and {tid for _, tid in public} == {main}
     # a forked gradient check still works after forwards that opened lanes
     monkeypatch.undo()
+    cores(monkeypatch, 2)
     tg = tiny_graph()
-    rep = gradcheck(tg, init_weights(tg, 1), verification_input((1, 3, 64, 64), 1), sample_count=2, seed=1, workers=2)
+    rep = gradcheck(tg, init_weights(tg, 1), verification_input((1, 3, 64, 64), 1), sample_count=2, seed=1)
     assert rep.workers == 2 and rep.passed
 
 

@@ -634,6 +634,9 @@ def export_graph(graph: LayerGraph) -> str:
 
 
 def import_graph(text: str) -> LayerGraph:
+    """The graph :func:`export_graph` wrote.  Shapes are inferred again from
+    the input node's, and a stored shape that differs raises
+    :class:`GraphError`."""
     doc = json.loads(text)
     if doc.get("format_version") != GRAPH_FORMAT_VERSION:
         raise GraphError(f"unsupported graph format version {doc.get('format_version')!r}")
@@ -648,6 +651,9 @@ def import_graph(text: str) -> LayerGraph:
         )
         for nd in doc["nodes"]
     )
-    graph = LayerGraph(nodes, doc["output_id"], doc.get("meta", {}))
-    _check_graph(list(nodes), graph.output_id)
+    _check_graph(list(nodes), doc["output_id"])
+    graph = infer_shapes(LayerGraph(nodes, doc["output_id"], doc.get("meta", {})), nodes[0].out_shape)
+    for stored, node in zip(nodes, graph.nodes):
+        if stored.out_shape != node.out_shape:
+            raise GraphError(f"node {node.id!r} stores shape {stored.out_shape}, its inputs give {node.out_shape}")
     return graph

@@ -39,14 +39,15 @@ accumulator is one band of output rows at the padded width, a
 ``1/k**2`` share of the product.
 
 Every forward primitive but the convolution takes an ``out=`` array.  The
-executor picks it: the conv output a fused batchnorm overwrites, an input
-buffer it is the last consumer of, or a producer's channel slice of its
-concat's output, which saves a second copy.  This module owns the
-arithmetic of every primitive; the executor only chooses where results
-go.  The upsampling gathers with ``np.take`` and works in place, through
-blocks of channels whose temporaries stay cache-sized
-(``UP2_BLOCK_BYTES``, 2 MiB of output per block): no full-map upsample
-temporary exists either.
+executor picks it by two rules: an elementwise primitive overwrites an
+input buffer it is the last consumer of (so a batchnorm that alone reads
+a conv's output normalizes it in place), and an upsampling or channel
+pool writes into its channel slice of its concat's output, which saves a
+second copy.  This module owns the arithmetic of every primitive; the
+executor only chooses where results go.  The upsampling gathers with
+``np.take`` and works in place, through blocks of channels whose
+temporaries stay cache-sized (``UP2_BLOCK_BYTES``, 2 MiB of output per
+block): no full-map upsample temporary exists either.
 
 Lanes.  :func:`~uhrkit.runtime.run_forward` decides whether a forward
 opens lanes (see ``uhrkit.runtime.LANE_MACS``).  When it does, it holds

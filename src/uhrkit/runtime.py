@@ -59,7 +59,7 @@ import threading
 import time
 import warnings
 import zlib
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,6 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
+from .analysis import _base_flops
 from .graph import LayerGraph, Node, infer_shapes
 from .ops import ChecksumMismatch, FormatError, ShapeMismatch, Tensor
 
@@ -230,6 +231,8 @@ def load_weights(path) -> WeightStore:
             name = raw[off + 2 : off + 2 + name_len].decode("utf-8")
         except (struct.error, UnicodeDecodeError) as exc:
             raise FormatError(f"truncated or corrupt entry name: {exc}", off) from exc
+        if name in arrays:
+            raise FormatError(f"repeated tensor name {name!r}", off)
         arrays[name], off = ops._decode_entry(raw, off + 2 + name_len, stop)
     if off != stop:
         raise FormatError("trailing bytes after the last entry", off)
@@ -241,9 +244,8 @@ def load_weights(path) -> WeightStore:
 
 
 class _Exec:
-    """Per-run caches: dtype-cast parameters, and the walk's plan of fused
-    conv+BN pairs and of producers that write straight into their concat's
-    output."""
+    """Per-run caches: dtype-cast parameters, and the walk's plan of
+    producers that write straight into their concat's output."""
 
     def __init__(self, graph: LayerGraph, store: WeightStore, dtype):
         self.graph = graph
@@ -256,26 +258,17 @@ class _Exec:
             if arr.shape != shape:
                 raise WeightShapeMismatch(f"weight {name} has shape {arr.shape}, node expects {shape}")
             self.params[name] = arr.astype(self.dtype, copy=False)
-        # conv -> its batchnorm when that is the conv's sole consumer; the
-        # walk fuses the pair to halve elementwise traffic
-        consumers: dict[str, list[Node]] = {}
-        for node in graph.nodes:
-            for src in node.inputs:
-                consumers.setdefault(src, []).append(node)
-        self.conv_bn: dict[str, Node] = {}
+        readers = Counter(src for node in graph.nodes for src in node.inputs)
         # upsample/chpool -> (its concat, channel offset) when that concat is
         # the sole consumer; the walk writes such a producer into its slice
         # of the concat's output instead of copying it there afterwards
         self.placed: dict[str, tuple[Node, int]] = {}
         for node in graph.nodes:
-            cons = consumers.get(node.id, [])
-            if node.kind == "conv" and len(cons) == 1 and cons[0].kind == "bn":
-                self.conv_bn[node.id] = cons[0]
-            elif node.kind == "concat" and node.out_shape is not None:
+            if node.kind == "concat" and node.out_shape is not None:
                 off = 0
                 for src in node.inputs:
                     prod = graph.node(src)
-                    if prod.kind in ("upsample", "chpool") and len(consumers[src]) == 1:
+                    if prod.kind in ("upsample", "chpool") and readers[src] == 1:
                         self.placed[src] = (node, off)
                     off += prod.out_shape[1]
 
@@ -298,12 +291,13 @@ class _Exec:
         ``acts`` starts with the walk's own buffer (the graph input, or the
         perturbed owner lanes) and collects node outputs.  An input missing
         from it is read from the read-only ``base`` activations, broadcast
-        along the batch axis.  Unless ``keep`` is set, a conv whose sole
-        consumer is a batchnorm runs fused with it, an elementwise node
-        overwrites an input buffer it is the last consumer of, and buffers
-        are dropped after their last consumer; with ``keep`` every output
-        stays in ``acts`` for the reverse sweep.  The graph input and output
-        are never overwritten or dropped.
+        along the batch axis.  Unless ``keep`` is set, an elementwise node
+        (batchnorm, ReLU, add) overwrites its first input's buffer when it
+        is that buffer's last consumer, so a batchnorm that alone reads its
+        conv's output normalizes it in place, and buffers are dropped after
+        their last consumer; with ``keep`` every output stays in ``acts``
+        for the reverse sweep.  The graph input and output are never
+        overwritten or dropped.
 
         Also unless ``keep`` is set, an upsample or channel pool whose sole
         consumer is a concat writes its output straight into its channel
@@ -334,7 +328,6 @@ class _Exec:
             return a
 
         kink_err = np.zeros(b)
-        fused: set[str] = set()
         # concat id -> its output, allocated by the first placed producer
         slots: dict[str, np.ndarray] = {}
 
@@ -350,22 +343,14 @@ class _Exec:
             return slots[cat.id][:, off : off + node.out_shape[1]]
 
         for node in nodes:
-            if node.id in fused:
-                continue
             ins = [fetch(src) for src in node.inputs]
             src0 = node.inputs[0]
             own0 = not keep and src0 in acts and remaining[src0] == 1 and src0 not in fixed
             reuse = ins[0] if own0 else None  # a buffer an elementwise node may overwrite
-            store_as = node.id
             kind = node.kind
             if kind == "conv":
                 a = node.attrs
                 y = ops.conv2d_fwd(ins[0], self.params[f"{node.id}.w"], a["stride"], a["pad"])
-                bn = None if keep else self.conv_bn.get(node.id)
-                if bn is not None:
-                    y = ops.batchnorm_fwd(y, *self.bn_params(bn.id), out=y)
-                    fused.add(bn.id)
-                    store_as = bn.id
             elif kind == "bn":
                 y = ops.batchnorm_fwd(ins[0], *self.bn_params(node.id), out=reuse)
             elif kind == "relu":
@@ -394,7 +379,7 @@ class _Exec:
                         remaining[src] -= 1
                         if remaining[src] == 0:
                             del acts[src]
-            acts[store_as] = y
+            acts[node.id] = y
         out = acts.get(self.graph.output_id)
         if out is None:  # the walk does not reach the output; it is constant
             out = base[self.graph.output_id]
@@ -460,7 +445,7 @@ def _forward_lanes(graph: LayerGraph) -> tuple[_Blas, int, int]:
 
 def _conv_macs(graph: LayerGraph) -> int:
     """Multiply-accumulates of the shaped ``graph``'s convolutions."""
-    return sum(math.prod(n.out_shape) * n.attrs["in_ch"] * n.attrs["k"] ** 2 for n in graph.nodes if n.kind == "conv")
+    return sum(_base_flops(n) for n in graph.nodes if n.kind == "conv")
 
 
 @dataclass(frozen=True)

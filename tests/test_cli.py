@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +294,33 @@ def test_forward_missing_weights_exit_4(tmp_path, capsys):
         "--input-file", str(x), "--out-file", str(tmp_path / "y.hrtf"),
     )
     assert code == 4
+
+
+def test_repeated_weight_name_rejected_exit_4(tmp_path, capsys):
+    # a valid CRC over two entries under one name: the second must not
+    # silently replace the first
+    entries = []
+    for value in (1.0, 2.0):
+        name = b"stem.conv1.bn.gamma"
+        head, payload = ops._encode_entry(np.full(4, value, dtype=np.float32))
+        entries.append(struct.pack("<H", len(name)) + name + head + payload.tobytes())
+    body = b"".join(entries)
+    path = tmp_path / "w.hrws"
+    path.write_bytes(
+        runtime.WEIGHTS_MAGIC + struct.pack("<IQI", runtime.WEIGHTS_VERSION, 0, 2) + body
+        + struct.pack("<I", zlib.crc32(body))
+    )
+    with pytest.raises(ops.FormatError, match=f"repeated tensor name .* \\(offset {20 + len(entries[0])}\\)"):
+        load_weights(path)
+    x = tmp_path / "x.hrtf"
+    ops.write_tensor(x, Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))
+    code, _, err = run(
+        capsys,
+        "forward", "--preset", "uhrnet-w18-small-va", "--weights", str(path),
+        "--input-file", str(x), "--out-file", str(tmp_path / "y.hrtf"),
+    )
+    assert code == 4
+    assert "repeated tensor name" in err
 
 
 def test_forward_bad_input_shape_exit_3(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from uhrkit import presets
 from uhrkit.dsl import Direction, parse_structure
 from uhrkit.graph import (
+    GraphError,
     IndivisibleInput,
     InvalidSequence,
     LayerGraph,
@@ -318,6 +319,21 @@ def test_max_pool_mode_builds_and_infers():
     shaped = infer_shapes(g, (1, 3, 64, 64))
     assert shaped.output_node().out_shape == (1, 62, 16, 16)
     assert any(n.kind == "chpool" and n.attrs["mode"] == "max" for n in shaped.nodes)
+
+
+def test_import_rederives_stored_shapes():
+    # an input shape the graph cannot take, and an inner shape its inputs
+    # do not give, are both refused rather than trusted
+    doc = json.loads(export_graph(infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)))
+    bad_input = json.loads(json.dumps(doc))
+    bad_input["nodes"][0]["out_shape"] = [1, 3, 2, 2]
+    with pytest.raises(IndivisibleInput):
+        import_graph(json.dumps(bad_input))
+    bad_inner = json.loads(json.dumps(doc))
+    node = bad_inner["nodes"][5]
+    node["out_shape"][2] *= 2
+    with pytest.raises(GraphError, match=f"node {node['id']!r} stores shape"):
+        import_graph(json.dumps(bad_inner))
 
 
 def test_import_rejects_unknown_version():

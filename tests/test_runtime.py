@@ -195,8 +195,9 @@ def test_forward_micro_shape_and_determinism():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("graph", ["micro", "tiny"])
 def test_forward_reuse_matches_kept_activations(graph, dtype):
-    # the walk fuses conv+bn and overwrites dead buffers unless activations
-    # are kept; both must give the same bytes and leave the input alone
+    # unless activations are kept, the walk overwrites dead buffers and
+    # places producers into their concats; both must give the same bytes
+    # and leave the input alone
     if graph == "micro":
         g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
     else:
@@ -251,7 +252,7 @@ def test_walk_runs_the_ops_primitives(dtype):
     reused, _ = run_forward(g, store, x)
     out, acts = run_forward(g, store, x, keep_activations=True)
     assert np.isfinite(out).all()
-    assert reused.tobytes() == out.tobytes()  # the fused conv+bn path too
+    assert reused.tobytes() == out.tobytes()  # in-place batchnorms too
     fwd = {
         "bn": lambda n, a: ops.batchnorm_fwd(
             a[0], *(store.arrays[f"{n.id}.{p}"] for p in ("gamma", "beta", "mean", "var"))
@@ -266,6 +267,32 @@ def test_walk_runs_the_ops_primitives(dtype):
             assert acts[node.id].tobytes() == want.tobytes(), node.id
             seen[node.kind] += 1
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_overwrites_the_conv_output_it_alone_reads(monkeypatch, dtype):
+    # without kept activations, a batchnorm that is its conv's only reader
+    # normalizes the conv's output in place
+    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
+    store = init_weights(g, 42).astype(dtype)
+    x = verification_input(g.nodes[0].out_shape, 42).data.astype(dtype)
+    conv, bn = ops.conv2d_fwd, ops.batchnorm_fwd
+    conv_outs, bn_calls = [], []
+    monkeypatch.setattr(ops, "conv2d_fwd", lambda *a: conv_outs.append(conv(*a)) or conv_outs[-1])
+    monkeypatch.setattr(ops, "batchnorm_fwd", lambda x, *p, out=None: bn_calls.append((x, out)) or bn(x, *p, out=out))
+    run_forward(g, store, x)
+    convs = [n.id for n in g.nodes if n.kind == "conv"]
+    bns = [n for n in g.nodes if n.kind == "bn"]
+    assert (len(conv_outs), len(bn_calls)) == (len(convs), len(bns))
+    readers = [src for n in g.nodes for src in n.inputs]
+    checked = 0
+    for node, (x_in, out) in zip(bns, bn_calls):
+        src = node.inputs[0]
+        if g.node(src).kind == "conv" and readers.count(src) == 1:
+            assert x_in is conv_outs[convs.index(src)], node.id
+            assert out is not None and np.shares_memory(out, x_in), node.id
+            checked += 1
+    assert checked == len(bns)
 
 
 def test_micro_graph_places_producers_into_concats():

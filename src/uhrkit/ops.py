@@ -74,7 +74,8 @@ split keeps every output byte for any lane count:
   kernels a GEMM cut by rows gave other float64 bytes where its width is
   not a multiple of 8, and small pieces take other kernels altogether.
   The reference presets' outputs (float32 and float64 at 1x3x256x512,
-  float32 at 1x3x1024x2048) match the uncut GEMMs byte for byte.
+  float32 at 1x3x1024x2048) match the uncut GEMMs byte for byte.  An
+  uncut GEMM takes the same path as a single part on the calling thread.
 
 So a forward that opens lanes gives the bytes of one at one BLAS thread,
 whatever the lane count; one that opens none rounds as BLAS does at its
@@ -333,13 +334,12 @@ def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, ho: int, wo: int) -
     flat shift.  The ``wo`` valid columns of each row are copied out per
     band.
 
-    A cut GEMM (see ``_split``) gives each of its output-channel
-    parts to a lane, which works through every band on its own: it stages
-    the band into its own buffer and writes only its parts' slices of the
-    one product, accumulator and output.  A whole GEMM goes straight
-    through the bands with each band's product made afresh: at
-    1x3x256x512, where no forward opens lanes, going through the lane
-    plumbing made the pass about 3% slower.
+    Each output-channel part of the GEMM (see ``_split``) goes to a lane,
+    which works through every band on its own: it stages the band into its
+    own buffer and writes only its part's slices of the accumulator and
+    output.  The parts of a cut GEMM share one product; an uncut GEMM is
+    the one-part case, run on the calling thread, and makes each band's
+    product afresh.
     """
     n, c, _, wd = x.shape
     cout, _, k, _ = w.shape
@@ -351,13 +351,11 @@ def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, ho: int, wo: int) -
     parts, lanes = _split(n * cout * ho * wo * c * k * k, SPLIT_MACS)
     acc = np.empty((n, cout, step * wp), dtype=x.dtype)
     xbs = _band_buffers(x, step + k - 1, pad, lanes)
-    if parts == 1:
-        _shift_bands(x, np.ascontiguousarray(w3).reshape(-1, c), xbs[0], None, acc, y, bands, pad, k)
-        return y
-    prod = np.empty((n, k * k * cout, (step + k - 1) * wp), dtype=x.dtype)
+    prod = np.empty((n, k * k * cout, (step + k - 1) * wp), dtype=x.dtype) if parts > 1 else None
     jobs = [
         functools.partial(_shift_bands, x, np.ascontiguousarray(w3[:, c0:c1]).reshape(-1, c), xbs[i % lanes],
-                          prod[:, k * k * c0 : k * k * c1], acc[:, c0:c1], y[:, c0:c1], bands, pad, k)
+                          None if prod is None else prod[:, k * k * c0 : k * k * c1], acc[:, c0:c1], y[:, c0:c1],
+                          bands, pad, k)
         for i, (c0, c1) in enumerate(_spans(cout, parts))
     ]  # fmt: skip
     _deal(jobs, lanes)
@@ -367,7 +365,7 @@ def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, ho: int, wo: int) -
 def _gather(x, xb, buf, r0, rows, wo, k, stride, pad) -> np.ndarray:
     """The columns of output rows ``r0:r0 + rows`` for the input channels
     that ``x``, ``xb`` and ``buf`` hold: the band's rows staged into ``xb``,
-    then gathered into ``buf`` (a new array when None)."""
+    then gathered into ``buf``."""
     band = _stage(x, xb[:, :, : stride * (rows - 1) + k], stride * r0, pad)
     return _im2col(band, k, stride, wo, rows, buf)
 
@@ -396,8 +394,6 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
         # one GEMM over the whole map, cut into output-channel parts when large
         xf = _im2col(x, 1, 1, wo, ho)
         parts, lanes = _split(macs, SPLIT_MACS_1X1)
-        if parts == 1:
-            return (wm @ xf).reshape(n, cout, ho, wo)
         y = np.empty((n, cout, ho, wo), dtype=x.dtype)
         yf = y.reshape(n, cout, ho * wo)
         _deal([functools.partial(np.matmul, wm[c0:c1], xf, out=yf[:, c0:c1]) for c0, c1 in _spans(cout, parts)], lanes)
@@ -409,16 +405,13 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
     # per output row, the columns or (for a 1x1 conv) the staged input rows
     step = _band_rows(n * cin * max(kh * kw * wo, stride * (wd + 2 * pad)) * x.itemsize, 0, ho)
     xb = _band_buffers(x, stride * (step - 1) + kh, pad, 1)[0]
-    buf = np.empty((n, cin * kh * kw, step * wo), dtype=x.dtype) if parts > 1 else None
+    buf = np.empty((n, cin * kh * kw, step * wo), dtype=x.dtype)
     kk = kh * kw
     for r0 in range(0, ho, step):
         rows = min(step, ho - r0)
         band, out = (r0, rows, wo, kh, stride, pad), yf[:, :, r0 * wo : (r0 + rows) * wo]
-        if parts == 1:  # a whole GEMM: each band's columns made afresh
-            np.matmul(wm, _gather(x, xb, None, *band), out=out)
-            continue
-        # a cut GEMM gathers the band's columns by input channels, then
-        # multiplies by output channels, both across the lanes
+        # each band's columns are gathered by input channels, then
+        # multiplied by output channels, both across the lanes
         gather = [functools.partial(_gather, x[:, c0:c1], xb[:, c0:c1], buf[:, kk * c0 : kk * c1], *band) for c0, c1 in ins]
         _deal(gather, lanes)
         cols = buf[:, :, : rows * wo]

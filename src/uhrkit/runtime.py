@@ -37,14 +37,16 @@ fast and sound:
   counts are reported per parameter.
 
 Parameters are checked in forked workers, two on a host with two or more
-cores, each with BLAS limited to one thread so the workers do not
-oversubscribe the cores; on one core the same worker runs in the calling
-process.  The limit goes through ``threadpoolctl`` when it imports, else
-straight to the OpenBLAS bundled in numpy's wheel; with neither, the check
-warns and runs on one worker.  The report records the workers, the limiter
-and the BLAS thread count it ran with.  One handle, :func:`_blas`, built on
-first use and never at import, carries that choice for the checker and the
-forward alike.
+cores; on one core the same worker runs in the calling process.  The
+check holds BLAS at one thread in the calling process, so the workers it
+forks inherit that count and do not oversubscribe the cores.  The limit
+goes through ``threadpoolctl`` when it imports, else straight to the
+OpenBLAS bundled in numpy's wheel; with neither, the check warns and runs
+on one worker.  The report records the workers, the limiter and the BLAS
+thread count it ran with.  One handle, :func:`_blas`, built on first use
+and never at import, carries that choice for the checker and the forward
+alike, and its :meth:`_Blas.hold` is the only code that sets the
+process-wide count: holds take turns on one lock.
 """
 
 from __future__ import annotations
@@ -402,13 +404,14 @@ def run_forward(
     their last consumer has run.
 
     A forward whose convolutions reach ``LANE_MACS`` multiply-accumulates
-    runs on one lane per BLAS thread (see :mod:`uhrkit.ops`), with BLAS held
-    at one thread meanwhile; the lanes' threads end with the call.  The BLAS
-    thread count is process-wide, so forwards called from several threads
-    run one at a time, and BLAS work that other threads do meanwhile runs
-    single-threaded.  Smaller forwards, and hosts with more BLAS threads
-    than ``ops.GEMM_PARTS`` or no way to set them, run on the calling thread
-    at BLAS's own thread count.
+    runs on one lane per BLAS thread (see :mod:`uhrkit.ops`) under
+    :meth:`_Blas.hold`; the lanes' threads end with the call.  The BLAS
+    thread count is process-wide, so such a forward waits for any other
+    thread's hold (a gradient check's, or another lane-opening forward's),
+    and BLAS work that other threads do meanwhile runs single-threaded.
+    Smaller forwards, and hosts with more BLAS threads than
+    ``ops.GEMM_PARTS`` or no way to set them, run on the calling thread at
+    BLAS's own thread count, without the hold and concurrently.
     """
     if not graph.shaped:
         graph = infer_shapes(graph, tuple(x.shape))
@@ -417,14 +420,10 @@ def run_forward(
         raise ShapeMismatch(f"input shape {x.shape} does not match the graph's {want}")
     acts = {graph.input_id: x}
     ex = _Exec(graph, store, x.dtype)
-    with _ONE_FORWARD:
-        blas, _, lanes = _forward_lanes(graph)
-        with blas.hold() if lanes else contextlib.nullcontext(), ops._open_lanes(lanes):
-            out, _ = ex.walk(graph.nodes[1:], acts, keep=keep_activations)
+    blas, _, lanes = _forward_lanes(graph)
+    with blas.hold() if lanes else contextlib.nullcontext(), ops._open_lanes(lanes):
+        out, _ = ex.walk(graph.nodes[1:], acts, keep=keep_activations)
     return out, (acts if keep_activations else None)
-
-
-_ONE_FORWARD = threading.Lock()  # a forward may set the process-wide BLAS thread count
 
 # A forward opens lanes only when its graph's convolutions reach this many
 # multiply-accumulates: below it, two lanes ran slower than BLAS's own
@@ -461,12 +460,17 @@ class _Blas:
 
     @contextlib.contextmanager
     def hold(self):
-        """BLAS at one thread inside; yields the count read there.  Forked
-        gradcheck workers would otherwise oversubscribe the cores, and
-        holding both of the checker's paths keeps their results
-        bit-identical; a forward's lanes each run one GEMM thread."""
-        with self.limit(1):
+        """BLAS at one thread inside; yields the count read there.  The only
+        code that sets the process-wide count: holds in several threads take
+        turns on one re-entrant lock, so each restores the count it found.
+        A gradient check holds around its workers, whose forks inherit the
+        count and so do not oversubscribe the cores, and a forward's lanes
+        each run one GEMM thread."""
+        with _HOLD, self.limit(1):
             yield self.threads()
+
+
+_HOLD = threading.RLock()  # taken by _Blas.hold alone
 
 
 @functools.cache
@@ -865,18 +869,16 @@ class _GradCheck:
         )
 
 
-_CHECK: list[_GradCheck] = []  # the check in progress, set around the dispatch
-_ONE_CHECK = threading.Lock()  # _CHECK holds one check, so checks run one at a time
+_CHECK: list[_GradCheck] = []  # the check in progress, set under gradcheck's hold
 
 
-def _gc_worker(args: tuple[int, int]) -> tuple[int, list[ParamCheck]]:
-    """Check every ``stride``-th parameter tensor from ``worker`` on, with
-    BLAS held at one thread; returns the thread count read there and the
-    results.  The one-worker check runs it in the calling process."""
+def _gc_worker(args: tuple[int, int]) -> list[ParamCheck]:
+    """Check every ``stride``-th parameter tensor from ``worker`` on.  Runs
+    under ``gradcheck``'s BLAS hold: a forked worker inherits the held
+    count, and the one-worker check runs it in the calling process."""
     worker, stride = args
     (check,) = _CHECK
-    with _blas().hold() as threads:
-        return threads, [check.check(e) for e in check.entries[worker::stride]]
+    return [check.check(e) for e in check.entries[worker::stride]]
 
 
 def gradcheck(
@@ -899,8 +901,12 @@ def gradcheck(
     draws are spent looking for clean replacements.  A comparison whose
     finite difference or relative error is not finite fails its tensor.
     The check runs on ``min(2, os.cpu_count())`` forked workers when BLAS
-    can be limited to one thread per worker, else on one, with a
-    ``RuntimeWarning``; results do not depend on the worker count.
+    can be limited to one thread, else on one, with a ``RuntimeWarning``;
+    results do not depend on the worker count.  It holds BLAS at one
+    thread (:meth:`_Blas.hold`) around its workers, so checks in several
+    threads run one at a time, a lane-opening forward in another thread
+    waits for it, and BLAS work in other threads meanwhile runs at one
+    thread.
 
     Raises :class:`InvalidCheckSettings` unless ``eps`` is positive and
     finite, ``tolerance`` non-negative and finite, and ``sample_count`` at
@@ -924,7 +930,7 @@ def gradcheck(
         )
     workers = min(2, os.cpu_count() or 1) if blas.name != "none" and hasattr(os, "fork") else 1
     tasks = [(w, workers) for w in range(workers)]
-    with _ONE_CHECK:
+    with blas.hold() as threads:
         _CHECK[:] = [check]
         try:
             if workers == 1:
@@ -936,7 +942,7 @@ def gradcheck(
                     parts = pool.map(_gc_worker, tasks)
         finally:
             _CHECK.clear()
-    by_name = {p.name: p for _, part in parts for p in part}
+    by_name = {p.name: p for part in parts for p in part}
     return GradCheckReport(
         eps=eps,
         tolerance=tolerance,
@@ -947,7 +953,7 @@ def gradcheck(
         elapsed_seconds=time.monotonic() - start,
         workers=workers,
         blas_limiter=blas.name,
-        blas_threads=max(t for t, _ in parts),
+        blas_threads=threads,
     )
 
 

@@ -467,7 +467,8 @@ def test_gradcheck_detects_a_1e4_error_in_one_vjp(monkeypatch):
 @needs_limiter
 def test_gradcheck_workers_do_not_change_results(monkeypatch):
     # one core runs the forked workers' entry point once, in the calling
-    # process and thread, over every tensor
+    # process and thread, over every tensor; it returns that worker's
+    # ParamChecks, which the wrapper hands back unchanged
     g = tiny_graph()
     store = init_weights(g, 3)
     x = verification_input((1, 3, 64, 64), 3)
@@ -492,7 +493,8 @@ def test_gradcheck_workers_do_not_change_results(monkeypatch):
 
 def test_gradcheck_in_two_threads_keeps_each_check(monkeypatch):
     # the one-worker check reads the check in progress from module state, so
-    # a check in a second thread must wait instead of replacing it mid-run
+    # a check in a second thread must wait instead of replacing it mid-run:
+    # each sets that state under its BLAS hold, and holds take turns on one lock
     cores(monkeypatch, 1)
     g = tiny_graph()
     x = verification_input((1, 3, 64, 64), 1)
@@ -517,6 +519,30 @@ def test_gradcheck_in_two_threads_keeps_each_check(monkeypatch):
         t.join(timeout=120)
     assert not any(t.is_alive() for t in threads)
     assert [replace(r, elapsed_seconds=0.0) for r in got] == [replace(r, elapsed_seconds=0.0) for r in alone]
+
+
+@needs_limiter
+def test_forked_workers_run_under_the_parents_hold(monkeypatch):
+    # the check holds BLAS at one thread in the calling process, and the
+    # workers it forks inherit that count instead of each holding their own
+    worker = runtime._gc_worker
+
+    def held(args):
+        threads = runtime._blas().threads()
+        if threads != 1:
+            raise AssertionError(f"worker {args} ran at {threads} BLAS threads")
+        return worker(args)
+
+    # the fork pool pickles the entry point by reference, as the tracer's wrapper
+    held.__module__, held.__qualname__ = worker.__module__, worker.__qualname__
+    monkeypatch.setattr(runtime, "_gc_worker", held)
+    cores(monkeypatch, 2)
+    g = tiny_graph()
+    with blas_threads(2):
+        rep = gradcheck(g, init_weights(g, 1), verification_input((1, 3, 64, 64), 1), sample_count=2, seed=1)
+        assert runtime._blas().threads() == 2
+    assert rep.workers == 2 and rep.passed
+    assert rep.blas_threads == 1
 
 
 def test_gradcheck_report_fields(monkeypatch):
@@ -788,6 +814,77 @@ def test_lanes_stay_inside_ops_and_end_with_the_forward(monkeypatch):
     tg = tiny_graph()
     rep = gradcheck(tg, init_weights(tg, 1), verification_input((1, 3, 64, 64), 1), sample_count=2, seed=1)
     assert rep.workers == 2 and rep.passed
+
+
+@needs_limiter
+def test_a_check_and_a_lane_forward_in_two_threads_take_turns_on_the_hold(monkeypatch):
+    # a one-worker check holds BLAS at one thread; a lane-opening forward
+    # started in another thread meanwhile must wait for that hold to end
+    # instead of taking its own, which the check's end would undo mid-pass
+    # (leaving some of the forward's primitives at two BLAS threads) and
+    # whose own end would leave the process at one thread
+    cores(monkeypatch, 1)
+    monkeypatch.setattr(runtime, "LANE_MACS", 0)
+    blas = runtime._blas()
+    g = tiny_graph()
+    store = init_weights(g, 1)
+    x = verification_input((1, 3, 64, 64), 1).data
+    checking, decided, running, checked = (threading.Event() for _ in range(4))
+    seen = []  # BLAS threads inside each primitive the forward calls
+    check_entry, forward_lanes = runtime._GradCheck.check, runtime._forward_lanes
+
+    def check(self, entry):
+        if not checking.is_set():  # the first tensor, inside the check's hold
+            checking.set()
+            assert decided.wait(20)
+            # the forward now holds or waits for the hold; it would start
+            # its pass at once if it held
+            running.wait(2)
+        return check_entry(self, entry)
+
+    def lanes(graph):
+        out = forward_lanes(graph)
+        if threading.current_thread().name == "forward":
+            decided.set()
+        return out
+
+    def watched(fn):
+        def primitive(*args, **kwargs):
+            if threading.current_thread().name == "forward":
+                seen.append(blas.threads())
+                running.set()
+                assert checked.wait(20)  # the check ends during the pass
+            return fn(*args, **kwargs)
+
+        return primitive
+
+    monkeypatch.setattr(runtime._GradCheck, "check", check)
+    monkeypatch.setattr(runtime, "_forward_lanes", lanes)
+    for name in [n for n in vars(ops) if n.endswith("_fwd")]:
+        monkeypatch.setattr(ops, name, watched(getattr(ops, name)))
+    done = {}
+
+    def run_check():
+        try:
+            done["check"] = gradcheck(g, store, x, sample_count=1, seed=1)
+        finally:
+            checked.set()
+
+    def run_pass():
+        done["forward"] = run_forward(g, store, x)
+
+    with blas_threads(2):
+        threads = [threading.Thread(target=run_check, daemon=True)]
+        threads[0].start()
+        assert checking.wait(20)
+        threads.append(threading.Thread(target=run_pass, name="forward", daemon=True))
+        threads[1].start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert blas.threads() == 2  # the count the process had before both
+    assert set(done) == {"check", "forward"} and done["check"].passed
+    assert seen and set(seen) == {1}
 
 
 @needs_limiter

@@ -145,8 +145,8 @@ class _Builder:
     def up(self, nid, x, role):
         return self.emit(nid, "upsample", (x,), role, factor=2)
 
-    def pool(self, nid, x, role, mode="avg"):
-        return self.emit(nid, "chpool", (x,), role, k=2, mode=mode)
+    def pool(self, nid, x, role):
+        return self.emit(nid, "chpool", (x,), role, k=2, mode="avg")
 
     def cat(self, nid, xs, role):
         return self.emit(nid, "concat", tuple(xs), role)
@@ -265,14 +265,15 @@ class NetworkConfig:
     ``blocks_per_branch`` is 4 for full models and 2 for the small variants
     (other values build but are flagged non-canonical); the module counts
     per stage come from the structure encoding alone.  ``small_variant`` is
-    accepted but not read: the block count alone sets the variant.
+    accepted but not read: the block count alone sets the variant.  Every
+    channel pooling, in FusionB fusions and in the head, averages pairs of
+    channels, and every batchnorm uses ``ops.BN_EPS``.
     """
 
     base_width: int
     blocks_per_branch: int = 2
     small_variant: bool = True
     fusion_kind: str = "FusionB"  # junction fusions: FusionB = pool+concat, FusionA = add
-    pool_mode: str = "avg"
 
     def __post_init__(self):
         if self.base_width < 1:
@@ -281,8 +282,6 @@ class NetworkConfig:
             raise ValueError("blocks_per_branch must be positive")
         if self.fusion_kind not in ("FusionA", "FusionB"):
             raise ValueError(f"unknown fusion kind {self.fusion_kind!r}")
-        if self.pool_mode not in ("avg", "max"):
-            raise ValueError(f"unknown pool mode {self.pool_mode!r}")
 
     @property
     def canonical(self) -> bool:
@@ -392,8 +391,8 @@ def build_uhrnet(seq: StageSequence, cfg: NetworkConfig, label: str | None = Non
                                 f"fusion pooling needs an even width, got {width[new]}; "
                                 "use an even base width"
                             )
-                        p_up = b.pool(f"fuse{si + 1}.pool_up", t, "fusion", cfg.pool_mode)
-                        p_skip = b.pool(f"fuse{si + 1}.pool_skip", skip.node, "fusion", cfg.pool_mode)
+                        p_up = b.pool(f"fuse{si + 1}.pool_up", t, "fusion")
+                        p_skip = b.pool(f"fuse{si + 1}.pool_skip", skip.node, "fusion")
                         y = b.cat(f"fuse{si + 1}.concat", [p_up, p_skip], "fusion")
                     else:
                         y = b.addop(f"fuse{si + 1}.add", t, skip.node, "fusion")
@@ -410,7 +409,7 @@ def build_uhrnet(seq: StageSequence, cfg: NetworkConfig, label: str | None = Non
                     new_cur[new] = b.relu(f"t{si}to{si + 1}.out", t, "transition")
         cur = new_cur
 
-    out_id, head_meta = _head(b, last_at, cfg.pool_mode)
+    out_id, head_meta = _head(b, last_at)
 
     meta = {
         "family": "uhrnet",
@@ -430,7 +429,7 @@ def build_uhrnet(seq: StageSequence, cfg: NetworkConfig, label: str | None = Non
     return LayerGraph(tuple(nodes), out_id, meta)
 
 
-def _head(b: _Builder, last_at: dict[int, _Feature], pool_mode: str) -> tuple[str, dict]:
+def _head(b: _Builder, last_at: dict[int, _Feature]) -> tuple[str, dict]:
     """Representation head: most recent feature per level, channel-pooled by
     2 when the 1/64 stream exists, upsampled to 1/4 and concatenated, then a
     width-preserving 1x1 conv + BN + ReLU."""
@@ -444,7 +443,7 @@ def _head(b: _Builder, last_at: dict[int, _Feature], pool_mode: str) -> tuple[st
         if pooled:
             if c % 2:
                 raise InvalidSequence(f"head pooling needs even widths, got {c} at level {l}")
-            t = b.pool(f"head.pool{l}", t, "head", pool_mode)
+            t = b.pool(f"head.pool{l}", t, "head")
             c //= 2
         for u in range(l):
             t = b.up(f"head.l{l}.up{u}", t, "head")
@@ -502,7 +501,7 @@ def build_hrnetv2(preset: str, label: str | None = None) -> LayerGraph:
                 )
             )
         xs = _hr_modules(b, si, n_mod, xs, channels[:si], blocks)
-    out, head_meta = _head(b, {l: _Feature(t, channels[l], 4) for l, t in enumerate(xs)}, "avg")
+    out, head_meta = _head(b, {l: _Feature(t, channels[l], 4) for l, t in enumerate(xs)})
 
     meta = {
         "family": "hrnetv2",
@@ -528,7 +527,8 @@ def infer_shapes(graph: LayerGraph, input_shape: tuple[int, int, int, int]) -> L
     bookkeeping across the whole graph.
 
     Height and width must be divisible by 64 so the 1/64 stream keeps an
-    integer spatial size.
+    integer spatial size.  A channel pooling must say ``mode: "avg"``, the
+    only pooling the executor runs.
     """
     if len(input_shape) != 4 or any(d < 1 for d in input_shape):
         raise ShapeMismatch(f"input shape must be a positive N,C,H,W, got {input_shape}")
@@ -569,6 +569,8 @@ def infer_shapes(graph: LayerGraph, input_shape: tuple[int, int, int, int]) -> L
             ni, ci, hi, wi = shapes[node.inputs[0]]
             if ci % 2:
                 raise OddChannelCount(f"node {node.id!r} pools an odd channel count {ci}")
+            if node.attrs.get("mode") != "avg":
+                raise GraphError(f"node {node.id!r} pools by {node.attrs.get('mode')!r}, not 'avg'")
             out = (ni, ci // 2, hi, wi)
         elif node.kind == "concat":
             parts = [shapes[i] for i in node.inputs]

@@ -96,7 +96,9 @@ Conventions:
 * bilinear upsampling is corner-aligned with a fixed factor of 2 (chain
   nodes for larger factors); a single-pixel axis upsamples to a constant;
 * the derivative of ``relu`` at exactly 0 is defined as 0;
-* batch normalization is inference-only: running statistics are parameters.
+* channel pooling averages pairs of adjacent channels (kernel 2, stride 2);
+* batch normalization is inference-only: running statistics are
+  parameters, and the epsilon is always ``BN_EPS``.
 """
 
 from __future__ import annotations
@@ -480,17 +482,16 @@ def batchnorm_fwd(
     beta: np.ndarray,
     mean: np.ndarray,
     var: np.ndarray,
-    eps: float = BN_EPS,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``y = gamma * (x - mean) / sqrt(var + eps) + beta`` per channel,
+    """``y = gamma * (x - mean) / sqrt(var + BN_EPS) + beta`` per channel,
     computed as ``x * scale + (beta - mean * scale)`` with
-    ``scale = gamma / sqrt(var + eps)``; written into ``out`` when given."""
+    ``scale = gamma / sqrt(var + BN_EPS)``; written into ``out`` when given."""
     c = x.shape[1]
     for name, p in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
         if p.shape != (c,):
             raise ShapeMismatch(f"batchnorm {name} has shape {p.shape}, expected ({c},)")
-    scale = _per_channel(gamma / np.sqrt(var + eps))
+    scale = _per_channel(gamma / np.sqrt(var + BN_EPS))
     shift = _per_channel(beta) - _per_channel(mean) * scale
     if out is None:
         out = np.empty(x.shape, np.result_type(x, scale))
@@ -508,7 +509,6 @@ def batchnorm_vjp(
     beta: np.ndarray,
     mean: np.ndarray,
     var: np.ndarray,
-    eps: float,
     dy: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients w.r.t. x and all four per-channel parameters.
@@ -516,7 +516,7 @@ def batchnorm_vjp(
     The running statistics are treated as differentiable inputs too; the
     gradient checker exercises them even though they would never be trained.
     """
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xm = x - _per_channel(mean)
     dx = dy * _per_channel(gamma * inv)
     axes = (0, 2, 3)
@@ -637,30 +637,19 @@ def bilinear_up2_vjp(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 # channel pooling, kernel 2 stride 2
 
 
-def channel_pool2_fwd(x: np.ndarray, mode: str = "avg", out: np.ndarray | None = None) -> np.ndarray:
-    """Pairs of adjacent channels averaged or maxed; written into ``out``
-    when given."""
+def channel_pool2_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pairs of adjacent channels averaged; written into ``out`` when given."""
     if x.shape[1] % 2:
         raise OddChannelCount(f"channel pooling by 2 needs an even channel count, got {x.shape[1]}")
-    a, b = x[:, ::2], x[:, 1::2]
-    if mode == "avg":
-        y = np.add(a, b, out=out)
-        y /= 2
-        return y
-    if mode == "max":
-        return np.maximum(a, b, out=out)
-    raise ValueError(f"unknown channel pool mode {mode!r}")
+    y = np.add(x[:, ::2], x[:, 1::2], out=out)
+    y /= 2
+    return y
 
 
-def channel_pool2_vjp(x: np.ndarray, dy: np.ndarray, mode: str = "avg") -> np.ndarray:
+def channel_pool2_vjp(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     dx = np.empty_like(x)
-    if mode == "avg":
-        dx[:, ::2] = dy / 2
-        dx[:, 1::2] = dy / 2
-    else:
-        pick = x[:, ::2] >= x[:, 1::2]
-        dx[:, ::2] = np.where(pick, dy, 0)
-        dx[:, 1::2] = np.where(pick, 0, dy)
+    dx[:, ::2] = dy / 2
+    dx[:, 1::2] = dy / 2
     return dx
 
 

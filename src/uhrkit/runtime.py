@@ -366,7 +366,7 @@ class _Exec:
             elif kind == "upsample":
                 y = ops.bilinear_up2_fwd(ins[0], out=slot(node, ins[0]))
             elif kind == "chpool":
-                y = ops.channel_pool2_fwd(ins[0], node.attrs.get("mode", "avg"), out=slot(node, ins[0]))
+                y = ops.channel_pool2_fwd(ins[0], out=slot(node, ins[0]))
             elif kind == "concat":
                 y = ops.concat_fwd(ins, out=slots.pop(node.id, None))
             elif kind == "add":
@@ -407,11 +407,12 @@ def run_forward(
     runs on one lane per BLAS thread (see :mod:`uhrkit.ops`) under
     :meth:`_Blas.hold`; the lanes' threads end with the call.  The BLAS
     thread count is process-wide, so such a forward waits for any other
-    thread's hold (a gradient check's, or another lane-opening forward's),
-    and BLAS work that other threads do meanwhile runs single-threaded.
-    Smaller forwards, and hosts with more BLAS threads than
-    ``ops.GEMM_PARTS`` or no way to set them, run on the calling thread at
-    BLAS's own thread count, without the hold and concurrently.
+    thread's hold (a gradient check's, or another lane-opening forward's)
+    to end before it reads the count, and BLAS work that other threads do
+    meanwhile runs single-threaded.  Smaller forwards, and hosts with more
+    BLAS threads than ``ops.GEMM_PARTS`` or no way to set them, run on the
+    calling thread at BLAS's own thread count, without the hold and
+    concurrently.
     """
     if not graph.shaped:
         graph = infer_shapes(graph, tuple(x.shape))
@@ -420,8 +421,14 @@ def run_forward(
         raise ShapeMismatch(f"input shape {x.shape} does not match the graph's {want}")
     acts = {graph.input_id: x}
     ex = _Exec(graph, store, x.dtype)
-    blas, _, lanes = _forward_lanes(graph)
-    with blas.hold() if lanes else contextlib.nullcontext(), ops._open_lanes(lanes):
+    with contextlib.ExitStack() as stack:
+        # decided under the lock, once any other thread's hold has restored
+        # the count it read; a forward too small for lanes waits for no hold
+        with _HOLD if _conv_macs(graph) >= LANE_MACS else contextlib.nullcontext():
+            blas, _, lanes = _forward_lanes(graph)
+            if lanes:
+                stack.enter_context(blas.hold())
+        stack.enter_context(ops._open_lanes(lanes))
         out, _ = ex.walk(graph.nodes[1:], acts, keep=keep_activations)
     return out, (acts if keep_activations else None)
 
@@ -470,7 +477,7 @@ class _Blas:
             yield self.threads()
 
 
-_HOLD = threading.RLock()  # taken by _Blas.hold alone
+_HOLD = threading.RLock()  # taken by _Blas.hold, and by run_forward to decide its lanes
 
 
 @functools.cache
@@ -556,7 +563,7 @@ def run_backward(
             send(node.inputs[0], dx)
             pgrads[f"{node.id}.w"] = 0 + dw
         elif node.kind == "bn":
-            dx, *dps = ops.batchnorm_vjp(ins[0], *ex.bn_params(node.id), ops.BN_EPS, g)
+            dx, *dps = ops.batchnorm_vjp(ins[0], *ex.bn_params(node.id), g)
             send(node.inputs[0], dx)
             for suffix, d in zip(("gamma", "beta", "mean", "var"), dps):
                 pgrads[f"{node.id}.{suffix}"] = 0 + d
@@ -565,7 +572,7 @@ def run_backward(
         elif node.kind == "upsample":
             send(node.inputs[0], ops.bilinear_up2_vjp(ins[0], g))
         elif node.kind == "chpool":
-            send(node.inputs[0], ops.channel_pool2_vjp(ins[0], g, node.attrs.get("mode", "avg")))
+            send(node.inputs[0], ops.channel_pool2_vjp(ins[0], g))
         elif node.kind == "concat":
             for src, dg_ in zip(node.inputs, ops.concat_vjp(ins, g)):
                 send(src, dg_)

@@ -238,13 +238,13 @@ def test_output_resolution_quarter_for_every_preset():
 
 def _graphs_to_shape():
     """Every preset at the cost input, the micro graph, and two structures
-    off the preset list that vary width, blocks, fusion, pool mode and batch."""
+    off the preset list that vary width, blocks, fusion and batch."""
     for name in presets.names():
         yield name, presets.build(name), presets.COST_INPUT_SHAPE
     yield "micro", presets.build_micro(), presets.MICRO_INPUT_SHAPE
     for code, cfg in (
         ("2v1v3^2v1=", NetworkConfig(base_width=6, blocks_per_branch=3, fusion_kind="FusionA")),
-        ("1v2v1v1v1^2^1^1^1", NetworkConfig(base_width=8, blocks_per_branch=1, pool_mode="max")),
+        ("1v2v1v1v1^2^1^1^1", NetworkConfig(base_width=8, blocks_per_branch=1)),
     ):
         yield code, build_uhrnet(parse_structure(code), cfg, label=code), (2, 3, 128, 192)
 
@@ -314,13 +314,6 @@ def test_graph_is_topologically_ordered():
     assert isinstance(g, LayerGraph)
 
 
-def test_max_pool_mode_builds_and_infers():
-    g = build_uhrnet(SMALL, NetworkConfig(base_width=4, blocks_per_branch=2, pool_mode="max"))
-    shaped = infer_shapes(g, (1, 3, 64, 64))
-    assert shaped.output_node().out_shape == (1, 62, 16, 16)
-    assert any(n.kind == "chpool" and n.attrs["mode"] == "max" for n in shaped.nodes)
-
-
 def test_import_rederives_stored_shapes():
     # an input shape the graph cannot take, and an inner shape its inputs
     # do not give, are both refused rather than trusted
@@ -334,6 +327,17 @@ def test_import_rederives_stored_shapes():
     node["out_shape"][2] *= 2
     with pytest.raises(GraphError, match=f"node {node['id']!r} stores shape"):
         import_graph(json.dumps(bad_inner))
+
+
+def test_import_rejects_a_channel_pooling_other_than_avg():
+    # the executor only averages, so a file asking for another pooling must
+    # not import and then run as an average
+    doc = json.loads(export_graph(infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)))
+    pools = [nd for nd in doc["nodes"] if nd["kind"] == "chpool"]
+    assert pools and all(nd["attrs"]["mode"] == "avg" for nd in pools)
+    pools[-1]["attrs"]["mode"] = "max"
+    with pytest.raises(GraphError, match=f"node {pools[-1]['id']!r} pools by 'max'"):
+        import_graph(json.dumps(doc))
 
 
 def test_import_rejects_unknown_version():

@@ -286,7 +286,7 @@ def test_conv_empty_batch(k, stride):
 def test_batchnorm_identity():
     x = _rng(2).normal(size=(1, 3, 4, 4))
     ones, zeros = np.ones(3), np.zeros(3)
-    y = batchnorm_fwd(x, ones, zeros, zeros, ones, eps=1e-12)
+    y = batchnorm_fwd(x, ones, zeros, zeros, ones - ops.BN_EPS)  # var + BN_EPS = 1
     assert np.allclose(y, x, atol=1e-9)
 
 
@@ -299,9 +299,9 @@ def test_batchnorm_constant_input_gives_beta():
 
 
 def test_batchnorm_direct_substitution():
-    # gamma 2, beta 1, mean 0, var 3, eps 1, x 4 -> 2*4/sqrt(4) + 1 = 5
+    # gamma 2, beta 1, mean 0, var + BN_EPS 4, x 4 -> 2*4/sqrt(4) + 1 = 5
     x = np.full((1, 1, 1, 1), 4.0)
-    y = batchnorm_fwd(x, np.array([2.0]), np.array([1.0]), np.array([0.0]), np.array([3.0]), eps=1.0)
+    y = batchnorm_fwd(x, np.array([2.0]), np.array([1.0]), np.array([0.0]), np.array([4.0 - ops.BN_EPS]))
     assert np.allclose(y, 5.0)
 
 
@@ -397,15 +397,13 @@ def test_upsample_temporaries_stay_within_block_budget():
     assert peak <= out + 2 * ops.UP2_BLOCK_BYTES
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("mode", ["avg", "max"])
-def test_channel_pool_matches_formula_with_and_without_out(mode, dtype):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["avg-float32", "avg-float64"])
+def test_channel_pool_matches_formula_with_and_without_out(dtype):
     x = _rng(13).normal(size=(2, 6, 3, 5)).astype(dtype)
-    a, b = x[:, ::2], x[:, 1::2]
-    want = ((a + b) / 2 if mode == "avg" else np.maximum(a, b)).tobytes()
-    assert channel_pool2_fwd(x, mode).tobytes() == want
+    want = ((x[:, ::2] + x[:, 1::2]) / 2).tobytes()
+    assert channel_pool2_fwd(x).tobytes() == want
     buf = np.full((2, 7, 3, 5), np.nan, dtype=dtype)
-    got = channel_pool2_fwd(x, mode, out=buf[:, 2:5])
+    got = channel_pool2_fwd(x, out=buf[:, 2:5])
     assert np.shares_memory(got, buf)
     assert buf[:, 2:5].tobytes() == want
     assert np.isnan(buf[:, :2]).all() and np.isnan(buf[:, 5:]).all()
@@ -413,21 +411,21 @@ def test_channel_pool_matches_formula_with_and_without_out(mode, dtype):
 
 def test_channel_pool_definition():
     x = np.arange(4, dtype=np.float64).reshape(1, 4, 1, 1)
-    y = channel_pool2_fwd(x, "avg")
+    y = channel_pool2_fwd(x)
     assert np.allclose(y.ravel(), [0.5, 2.5])
 
 
 def test_channel_pool_duplicated_channels():
     x = _rng(4).normal(size=(1, 3, 2, 2))
     dup = np.repeat(x, 2, axis=1)
-    assert np.allclose(channel_pool2_fwd(dup, "avg"), x)
+    assert np.allclose(channel_pool2_fwd(dup), x)
 
 
 def test_channel_pool_shape_and_odd():
     x = np.zeros((1, 18, 5, 7))
-    assert channel_pool2_fwd(x, "avg").shape == (1, 9, 5, 7)
+    assert channel_pool2_fwd(x).shape == (1, 9, 5, 7)
     with pytest.raises(OddChannelCount):
-        channel_pool2_fwd(np.zeros((1, 3, 2, 2)), "avg")
+        channel_pool2_fwd(np.zeros((1, 3, 2, 2)))
 
 
 def test_concat_and_add():
@@ -568,7 +566,7 @@ def test_primitive_gradients_match_central_differences(name):
         "conv_w": ([x, w], 1, lambda a: conv2d_fwd(a[0], a[1]),
                    lambda a, dy: conv2d_vjp(a[0], a[1], 1, None, dy)[1], weight),
         "bn": ([x, gamma, beta, mean, var], 4, lambda a: batchnorm_fwd(*a),
-               lambda a, dy: batchnorm_vjp(*a, 1e-5, dy)[4], weight[:, :3]),
+               lambda a, dy: batchnorm_vjp(*a, dy)[4], weight[:, :3]),
         "upsample": ([x], 0, lambda a: bilinear_up2_fwd(a[0]),
                      lambda a, dy: bilinear_up2_vjp(a[0], dy), np.ones((2, 3, 12, 12))),
         "chpool": ([x], 0, lambda a: channel_pool2_fwd(concat_fwd([a[0], a[0]])),

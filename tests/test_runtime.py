@@ -816,6 +816,22 @@ def test_lanes_stay_inside_ops_and_end_with_the_forward(monkeypatch):
     assert rep.workers == 2 and rep.passed
 
 
+class ReachedLock:
+    """``runtime._HOLD`` that sets ``reached`` when the thread named
+    ``forward`` asks for it, before it waits."""
+
+    def __init__(self, lock, reached):
+        self.lock, self.reached = lock, reached
+
+    def __enter__(self):
+        if threading.current_thread().name == "forward":
+            self.reached.set()
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
 @needs_limiter
 def test_a_check_and_a_lane_forward_in_two_threads_take_turns_on_the_hold(monkeypatch):
     # a one-worker check holds BLAS at one thread; a lane-opening forward
@@ -829,24 +845,18 @@ def test_a_check_and_a_lane_forward_in_two_threads_take_turns_on_the_hold(monkey
     g = tiny_graph()
     store = init_weights(g, 1)
     x = verification_input((1, 3, 64, 64), 1).data
-    checking, decided, running, checked = (threading.Event() for _ in range(4))
+    checking, waiting, running, checked = (threading.Event() for _ in range(4))
     seen = []  # BLAS threads inside each primitive the forward calls
-    check_entry, forward_lanes = runtime._GradCheck.check, runtime._forward_lanes
+    check_entry = runtime._GradCheck.check
 
     def check(self, entry):
         if not checking.is_set():  # the first tensor, inside the check's hold
             checking.set()
-            assert decided.wait(20)
-            # the forward now holds or waits for the hold; it would start
-            # its pass at once if it held
+            assert waiting.wait(20)
+            # the forward now waits for the lock; it would start its pass
+            # at once if it did not
             running.wait(2)
         return check_entry(self, entry)
-
-    def lanes(graph):
-        out = forward_lanes(graph)
-        if threading.current_thread().name == "forward":
-            decided.set()
-        return out
 
     def watched(fn):
         def primitive(*args, **kwargs):
@@ -859,7 +869,7 @@ def test_a_check_and_a_lane_forward_in_two_threads_take_turns_on_the_hold(monkey
         return primitive
 
     monkeypatch.setattr(runtime._GradCheck, "check", check)
-    monkeypatch.setattr(runtime, "_forward_lanes", lanes)
+    monkeypatch.setattr(runtime, "_HOLD", ReachedLock(runtime._HOLD, waiting))
     for name in [n for n in vars(ops) if n.endswith("_fwd")]:
         monkeypatch.setattr(ops, name, watched(getattr(ops, name)))
     done = {}
@@ -885,6 +895,58 @@ def test_a_check_and_a_lane_forward_in_two_threads_take_turns_on_the_hold(monkey
         assert blas.threads() == 2  # the count the process had before both
     assert set(done) == {"check", "forward"} and done["check"].passed
     assert seen and set(seen) == {1}
+
+
+@needs_limiter
+def test_a_lane_forward_started_during_a_hold_decides_after_it(monkeypatch):
+    # a forward that read the BLAS count while another thread held it at one
+    # would open one lane and run its whole pass there, although BLAS is
+    # back at two threads by the time the hold ends and the pass starts
+    blas = runtime._blas()
+    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
+    store = init_weights(g, 5)
+    x = verification_input(presets.MICRO_INPUT_SHAPE, 5).data
+    held, reached = threading.Event(), threading.Event()
+    seen = []  # (lanes, BLAS threads) inside each batchnorm of the forward
+    batchnorm = ops.batchnorm_fwd
+
+    def watched(*args, **kwargs):
+        seen.append((ops._LANES.get()[1], blas.threads()))
+        return batchnorm(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "batchnorm_fwd", watched)
+    monkeypatch.setattr(runtime, "_HOLD", ReachedLock(runtime._HOLD, reached))
+    done = {}
+
+    def hold():
+        with blas.hold():
+            held.set()
+            done["reached"] = reached.wait(20)  # the forward waits for this hold
+
+    def run_pass():
+        done["forward"] = run_forward(g, store, x)
+
+    with blas_threads(2):
+        if blas.threads() != 2:
+            pytest.skip("BLAS does not run on two threads here")
+        threads = [threading.Thread(target=hold, daemon=True)]
+        threads[0].start()
+        assert held.wait(20)
+        # a forward too small for lanes waits for no hold: it runs at once,
+        # at the one BLAS thread the hold set
+        monkeypatch.setattr(runtime, "LANE_MACS", runtime._conv_macs(g) + 1)
+        run_forward(g, store, x)
+        assert set(seen) == {(0, 1)}
+        seen.clear()
+        monkeypatch.setattr(runtime, "LANE_MACS", 0)
+        threads.append(threading.Thread(target=run_pass, name="forward", daemon=True))
+        threads[1].start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert blas.threads() == 2
+    assert set(done) == {"reached", "forward"} and done["reached"]
+    assert seen and set(seen) == {(2, 1)}
 
 
 @needs_limiter

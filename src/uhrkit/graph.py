@@ -123,6 +123,15 @@ def _check_graph(nodes: list[Node], output_id: str) -> None:
         raise GraphError(f"output node {output_id!r} does not exist")
 
 
+# Every node kind's attribute names.  A value other than None is the only
+# one the executor runs: it upsamples by 2 and averages pairs of channels.
+NODE_ATTRS = {
+    "input": {"ch": None}, "bn": {"ch": None}, "relu": {}, "concat": {}, "add": {},
+    "conv": dict.fromkeys(("k", "stride", "pad", "in_ch", "out_ch")),
+    "upsample": {"factor": 2}, "chpool": {"k": 2, "mode": "avg"},
+}  # fmt: skip
+
+
 class _Builder:
     """Nodes in emission order; :func:`_check_graph` rejects duplicate ids."""
 
@@ -143,10 +152,10 @@ class _Builder:
         return self.emit(nid, "relu", (x,), role)
 
     def up(self, nid, x, role):
-        return self.emit(nid, "upsample", (x,), role, factor=2)
+        return self.emit(nid, "upsample", (x,), role, **NODE_ATTRS["upsample"])
 
     def pool(self, nid, x, role):
-        return self.emit(nid, "chpool", (x,), role, k=2, mode="avg")
+        return self.emit(nid, "chpool", (x,), role, **NODE_ATTRS["chpool"])
 
     def cat(self, nid, xs, role):
         return self.emit(nid, "concat", tuple(xs), role)
@@ -638,7 +647,8 @@ def export_graph(graph: LayerGraph) -> str:
 def import_graph(text: str) -> LayerGraph:
     """The graph :func:`export_graph` wrote.  Shapes are inferred again from
     the input node's, and a stored shape that differs raises
-    :class:`GraphError`."""
+    :class:`GraphError`, as does a node whose attributes differ from
+    :data:`NODE_ATTRS`."""
     doc = json.loads(text)
     if doc.get("format_version") != GRAPH_FORMAT_VERSION:
         raise GraphError(f"unsupported graph format version {doc.get('format_version')!r}")
@@ -658,4 +668,9 @@ def import_graph(text: str) -> LayerGraph:
     for stored, node in zip(nodes, graph.nodes):
         if stored.out_shape != node.out_shape:
             raise GraphError(f"node {node.id!r} stores shape {stored.out_shape}, its inputs give {node.out_shape}")
+        spec = NODE_ATTRS[node.kind]
+        bad = sorted(node.attrs.keys() ^ spec.keys()) or [a for a, v in spec.items() if v is not None and node.attrs[a] != v]
+        if bad:
+            got = repr(node.attrs[bad[0]]) if bad[0] in node.attrs else "missing"
+            raise GraphError(f"node {node.id!r} attribute {bad[0]!r} is {got}; {node.kind} nodes take {spec}")
     return graph

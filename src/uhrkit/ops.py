@@ -31,13 +31,6 @@ whole input exists (the VJP and ``conv_windows`` still pad the whole
 input).  The strided path stages every band, with ``pad=0`` as well, so
 its im2col always reads one staged band.
 
-The shift-GEMM sums a band's kernel offsets in an accumulator laid out
-at the padded width, where each offset is one contiguous flat shift of
-the product rather than a strided 2-D window; the sum starts from zero,
-and each band's valid columns are copied out.  The
-accumulator is one band of output rows at the padded width, a
-``1/k**2`` share of the product.
-
 Every forward primitive but the convolution takes an ``out=`` array.  The
 executor picks it by two rules: an elementwise primitive overwrites an
 input buffer it is the last consumer of (so a batchnorm that alone reads
@@ -62,9 +55,9 @@ split keeps every output byte for any lane count:
 
 * batchnorm, ReLU and add by channels, the upsampling by its channel
   blocks: each element's arithmetic does not depend on the split;
-* a convolution's GEMM, once it reaches ``SPLIT_MACS`` (``SPLIT_MACS_1X1``
-  for a 1x1 stride-1 kernel), is cut into ``GEMM_PARTS`` output-channel
-  parts inside a forward's lanes however many there are.  For a stride-1
+* a convolution's GEMM, once it reaches ``SPLIT_MACS`` whatever its
+  kernel and stride, is cut into ``GEMM_PARTS`` output-channel parts
+  inside a forward's lanes however many there are.  For a stride-1
   kernel larger than 1x1 a lane takes a part and works through every
   band: it stages the band into its own buffer and runs its channels'
   GEMM, offset sums and copy-out; on the strided path the lanes gather
@@ -75,15 +68,15 @@ split keeps every output byte for any lane count:
   not a multiple of 8, and small pieces take other kernels altogether.
   The reference presets' outputs (float32 and float64 at 1x3x256x512,
   float32 at 1x3x1024x2048) match the uncut GEMMs byte for byte.  An
-  uncut GEMM takes the same path as a single part on the calling thread.
+  uncut GEMM is one part on the calling thread, product buffer and all.
 
 So a forward that opens lanes gives the bytes of one at one BLAS thread,
 whatever the lane count; one that opens none rounds as BLAS does at its
 thread count (the reference presets at 1x3x256x512 give other bytes at
 two BLAS threads than at one).  Inside the lanes, work below the cutoffs
 runs on the calling thread alone, since waking a lane costs about 0.1 ms
-inside a pass; the cutoffs come from timings of every conv call inside
-whole passes, split against whole.  Lanes allocate nothing: the calling
+inside a pass; the cutoffs come from whole passes, split against whole,
+and one serves every kernel.  Lanes allocate nothing: the calling
 thread allocates the shared product, accumulator and columns and each
 lane's staging and upsample buffers (``_per_lane``) and hands out views.
 A lane calls only numpy and this module's private helpers, never a
@@ -143,10 +136,9 @@ class ChecksumMismatch(ValueError):
 BAND_BYTES = 16 * 2**20
 
 # Inside a forward's lanes, work below these sizes runs on the calling
-# thread alone: a convolution of fewer multiply-accumulates (1x1 stride-1
-# ones have their own cutoff), an elementwise pass with a smaller output.
+# thread alone: a convolution of fewer multiply-accumulates, whatever its
+# kernel and stride, an elementwise pass with a smaller output.
 SPLIT_MACS = 16 * 2**20
-SPLIT_MACS_1X1 = 32 * 2**20
 SPLIT_BYTES = 4 * 2**20
 
 # Parts of split work (see ``_split``), whatever the lane count; also the
@@ -302,14 +294,13 @@ def _shift_bands(x, wm, xb, prod, acc, y, bands, pad, k) -> None:
     """A stride-1 ``k``x``k`` convolution into ``y``, band by band, for the
     output channels whose weight rows ``wm`` holds in (offset, channel)
     order: each band's padded input rows staged into ``xb``, the GEMM into
-    ``prod`` (a new array per band when None), the offset sums in ``acc``,
-    then the copy-out."""
+    ``prod``, the offset sums in ``acc``, then the copy-out."""
     n, c, _, wd = x.shape
     cj, wp, wo = acc.shape[1], wd + 2 * pad, y.shape[3]
     for r0, rows in bands:
         hb = rows + k - 1
         band = _stage(x, xb[:, :, :hb], r0, pad)
-        t = np.matmul(wm, band.reshape(n, c, hb * wp), out=None if prod is None else prod[:, :, : hb * wp])
+        t = np.matmul(wm, band.reshape(n, c, hb * wp), out=prod[:, :, : hb * wp])
         t = t.reshape(n, k * k, cj, hb * wp)
         # the last row needs only its wo valid columns, which keeps the
         # largest shift inside the product
@@ -320,44 +311,40 @@ def _shift_bands(x, wm, xb, prod, acc, y, bands, pad, k) -> None:
             shift = (i // k) * wp + i % k
             a += t[:, i, :, shift : shift + m]
         y[:, :, r0 : r0 + rows] = acc[:, :, : rows * wp].reshape(n, cj, rows, wp)[..., :wo]
-        del t  # a band's own product goes before the next band's
 
 
-def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, ho: int, wo: int) -> np.ndarray:
-    """Stride-1 convolution without an im2col buffer: per band of output
-    rows, one GEMM of all kernel offsets against the band's padded input
-    rows (plus the kernel's halo), then the shifted output windows are
-    accumulated offset by offset.
+def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, y: np.ndarray, parts: int, lanes: int) -> np.ndarray:
+    """Stride-1 convolution into ``y`` without an im2col buffer: per band
+    of output rows, one GEMM of all kernel offsets against the band's
+    padded input rows (plus the kernel's halo), then the shifted output
+    windows are accumulated offset by offset.
 
     The band's input rows are staged, zero-padded, into one band-sized
     buffer.  The accumulator keeps the padded width ``wp``, so output
     ``(r, j)`` sits at flat position ``r * wp + j`` and offset ``(ki, kj)``
     reads the product at ``+ ki * wp + kj``: every offset is one contiguous
-    flat shift.  The ``wo`` valid columns of each row are copied out per
-    band.
+    flat shift, not a strided 2-D window, and the accumulator is a
+    ``1/k**2`` share of the product.  The ``wo`` valid columns of each row
+    are copied out per band.
 
-    Each output-channel part of the GEMM (see ``_split``) goes to a lane,
-    which works through every band on its own: it stages the band into its
-    own buffer and writes only its part's slices of the accumulator and
-    output.  The parts of a cut GEMM share one product; an uncut GEMM is
-    the one-part case, run on the calling thread, and makes each band's
-    product afresh.
+    The GEMM is cut into ``parts`` output-channel parts, dealt to
+    ``lanes`` lanes (see ``_split``).  A lane works through every band on
+    its own: it stages the band into its own buffer and writes only its
+    part's slices of the one product buffer, the accumulator and the
+    output.  An uncut GEMM is the one-part case, on the calling thread.
     """
     n, c, _, wd = x.shape
     cout, _, k, _ = w.shape
-    wp = wd + 2 * pad
+    ho, wp = y.shape[2], wd + 2 * pad
     w3 = w.reshape(cout, c, k * k).transpose(2, 0, 1)  # (offset, out channel, in channel)
-    y = np.empty((n, cout, ho, wo), dtype=x.dtype)
     step = _band_rows(n * k * k * cout * wp * x.itemsize, k - 1, ho)
     bands = [(r0, min(step, ho - r0)) for r0 in range(0, ho, step)]
-    parts, lanes = _split(n * cout * ho * wo * c * k * k, SPLIT_MACS)
     acc = np.empty((n, cout, step * wp), dtype=x.dtype)
     xbs = _band_buffers(x, step + k - 1, pad, lanes)
-    prod = np.empty((n, k * k * cout, (step + k - 1) * wp), dtype=x.dtype) if parts > 1 else None
+    prod = np.empty((n, k * k * cout, (step + k - 1) * wp), dtype=x.dtype)
     jobs = [
         functools.partial(_shift_bands, x, np.ascontiguousarray(w3[:, c0:c1]).reshape(-1, c), xbs[i % lanes],
-                          None if prod is None else prod[:, k * k * c0 : k * k * c1], acc[:, c0:c1], y[:, c0:c1],
-                          bands, pad, k)
+                          prod[:, k * k * c0 : k * k * c1], acc[:, c0:c1], y[:, c0:c1], bands, pad, k)
         for i, (c0, c1) in enumerate(_spans(cout, parts))
     ]  # fmt: skip
     _deal(jobs, lanes)
@@ -388,22 +375,19 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
         pad = kh // 2
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
+    y = np.empty((n, cout, ho, wo), dtype=x.dtype)
+    parts, lanes = _split(n * cout * ho * wo * cin * kh * kw, SPLIT_MACS)
     if stride == 1 and kh > 1:
-        return _conv_shift_gemm(x, w, pad, ho, wo)
+        return _conv_shift_gemm(x, w, pad, y, parts, lanes)
     wm = w.reshape(cout, -1)
-    macs = n * cout * ho * wo * cin * kh * kw
+    yf = y.reshape(n, cout, ho * wo)
+    groups = _spans(cout, parts)
     if kh == 1 and stride == 1 and not pad:
         # one GEMM over the whole map, cut into output-channel parts when large
         xf = _im2col(x, 1, 1, wo, ho)
-        parts, lanes = _split(macs, SPLIT_MACS_1X1)
-        y = np.empty((n, cout, ho, wo), dtype=x.dtype)
-        yf = y.reshape(n, cout, ho * wo)
-        _deal([functools.partial(np.matmul, wm[c0:c1], xf, out=yf[:, c0:c1]) for c0, c1 in _spans(cout, parts)], lanes)
+        _deal([functools.partial(np.matmul, wm[c0:c1], xf, out=yf[:, c0:c1]) for c0, c1 in groups], lanes)
         return y
-    y = np.empty((n, cout, ho, wo), dtype=x.dtype)
-    yf = y.reshape(n, cout, ho * wo)
-    parts, lanes = _split(macs, SPLIT_MACS)
-    groups, ins = _spans(cout, parts), _spans(cin, parts)
+    ins = _spans(cin, parts)
     # per output row, the columns or (for a 1x1 conv) the staged input rows
     step = _band_rows(n * cin * max(kh * kw * wo, stride * (wd + 2 * pad)) * x.itemsize, 0, ho)
     xb = _band_buffers(x, stride * (step - 1) + kh, pad, 1)[0]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -337,6 +338,20 @@ def test_import_rejects_a_channel_pooling_other_than_avg():
     assert pools and all(nd["attrs"]["mode"] == "avg" for nd in pools)
     pools[-1]["attrs"]["mode"] = "max"
     with pytest.raises(GraphError, match=f"node {pools[-1]['id']!r} pools by 'max'"):
+        import_graph(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "kind, attr, value",
+    [("upsample", "factor", 4), ("chpool", "k", 3), ("bn", "eps", 0.001), ("conv", "dilation", 2)],
+)
+def test_import_rejects_attributes_the_executor_would_ignore(kind, attr, value):
+    # each edit keeps every shape, and the executor would run the node as if
+    # the attribute were absent or at its only value
+    doc = json.loads(export_graph(infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)))
+    node = [nd for nd in doc["nodes"] if nd["kind"] == kind][-1]
+    node["attrs"][attr] = value
+    with pytest.raises(GraphError, match=re.escape(f"node {node['id']!r} attribute {attr!r} is {value!r}")):
         import_graph(json.dumps(doc))
 
 

@@ -714,7 +714,6 @@ def blas_threads(n):
 def split_everything(monkeypatch, band_bytes=None):
     monkeypatch.setattr(runtime, "LANE_MACS", 0)
     monkeypatch.setattr(ops, "SPLIT_MACS", 0)
-    monkeypatch.setattr(ops, "SPLIT_MACS_1X1", 0)
     monkeypatch.setattr(ops, "SPLIT_BYTES", 0)
     if band_bytes:
         monkeypatch.setattr(ops, "BAND_BYTES", band_bytes)
@@ -736,6 +735,28 @@ def test_forward_bytes_do_not_depend_on_the_lanes(monkeypatch, dtype, band_bytes
                 outs[lanes], _ = run_forward(g, store, x)
         assert outs[1].dtype == dtype
         assert outs[1].tobytes() == outs[2].tobytes()
+
+
+@needs_limiter
+def test_a_1x1_conv_of_split_macs_is_cut_like_every_other_kernel(monkeypatch):
+    # 64 -> 64 channels on a 64x64 map: exactly SPLIT_MACS multiply-accumulates
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((1, 64, 64, 64)).astype(np.float32)
+    w = rng.standard_normal((64, 64, 1, 1)).astype(np.float32)
+    assert x.size * w.shape[0] == ops.SPLIT_MACS
+    whole = ops.conv2d_fwd(x, w)
+    dealt = []  # (jobs, lanes) of every deal, the lanes' own included
+    deal = ops._deal
+
+    def recorded(jobs, lanes):
+        dealt.append((len(jobs), lanes))
+        deal(jobs, lanes)
+
+    monkeypatch.setattr(ops, "_deal", recorded)
+    with runtime._blas().hold(), ops._open_lanes(2):
+        cut = ops.conv2d_fwd(x, w)
+    assert dealt[0] == (ops.GEMM_PARTS, 2)
+    assert cut.tobytes() == whole.tobytes()
 
 
 @needs_limiter

@@ -109,10 +109,6 @@ class CostReport:
     def total_params(self) -> int:
         return sum(r.params for r in self.rows)
 
-    @property
-    def total_params_trainable(self) -> int:
-        return sum(r.params_trainable for r in self.rows)
-
     def by_group(self) -> dict[str, tuple[int, int]]:
         """(flops, params) keyed by role group: stem, stage1.., transition,
         fusion, head, classifier."""

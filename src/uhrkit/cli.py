@@ -219,7 +219,7 @@ def cmd_forward(args) -> int:
         store = runtime.init_weights(graph, args.seed)
     x = ops.read_tensor(args.input_file).data
     graph = infer_shapes(graph, tuple(x.shape))
-    blas, threads, lanes = runtime._forward_lanes(graph)
+    blas, threads, lanes = runtime._forward_lanes(runtime._conv_macs(graph))
     lanes = max(1, lanes)  # the calling thread alone when none open
     start = time.perf_counter()
     out, _ = runtime.run_forward(graph, store, x)

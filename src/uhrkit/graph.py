@@ -115,6 +115,8 @@ def _check_graph(nodes: list[Node], output_id: str) -> None:
     for node in nodes:
         if node.id in seen:
             raise GraphError(f"duplicate node id {node.id!r}")
+        if node.kind == "input" and seen:
+            raise GraphError(f"node {node.id!r} is a second input")
         for src in node.inputs:
             if src not in seen:
                 raise GraphError(f"node {node.id!r} consumes {src!r} before it is produced")
@@ -536,8 +538,7 @@ def infer_shapes(graph: LayerGraph, input_shape: tuple[int, int, int, int]) -> L
     bookkeeping across the whole graph.
 
     Height and width must be divisible by 64 so the 1/64 stream keeps an
-    integer spatial size.  A channel pooling must say ``mode: "avg"``, the
-    only pooling the executor runs.
+    integer spatial size.
     """
     if len(input_shape) != 4 or any(d < 1 for d in input_shape):
         raise ShapeMismatch(f"input shape must be a positive N,C,H,W, got {input_shape}")
@@ -578,8 +579,6 @@ def infer_shapes(graph: LayerGraph, input_shape: tuple[int, int, int, int]) -> L
             ni, ci, hi, wi = shapes[node.inputs[0]]
             if ci % 2:
                 raise OddChannelCount(f"node {node.id!r} pools an odd channel count {ci}")
-            if node.attrs.get("mode") != "avg":
-                raise GraphError(f"node {node.id!r} pools by {node.attrs.get('mode')!r}, not 'avg'")
             out = (ni, ci // 2, hi, wi)
         elif node.kind == "concat":
             parts = [shapes[i] for i in node.inputs]
@@ -645,32 +644,53 @@ def export_graph(graph: LayerGraph) -> str:
 
 
 def import_graph(text: str) -> LayerGraph:
-    """The graph :func:`export_graph` wrote.  Shapes are inferred again from
-    the input node's, and a stored shape that differs raises
-    :class:`GraphError`, as does a node whose attributes differ from
-    :data:`NODE_ATTRS`."""
-    doc = json.loads(text)
+    """The graph :func:`export_graph` wrote.  Any other document raises
+    :class:`GraphError` before a shape is inferred, as does a node whose
+    attributes differ from :data:`NODE_ATTRS` or leave open a value that
+    is not a positive int (a ``pad`` may be 0).  Shapes are then inferred
+    again from the input node's, and a stored shape that differs raises."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"graph file is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise GraphError(f"graph file holds a {type(doc).__name__}, not an object")
     if doc.get("format_version") != GRAPH_FORMAT_VERSION:
         raise GraphError(f"unsupported graph format version {doc.get('format_version')!r}")
-    nodes = tuple(
-        Node(
-            id=nd["id"],
-            kind=nd["kind"],
-            inputs=tuple(nd["inputs"]),
-            role=nd["role"],
-            attrs=nd["attrs"],
-            out_shape=tuple(nd["out_shape"]),
-        )
-        for nd in doc["nodes"]
-    )
-    _check_graph(list(nodes), doc["output_id"])
-    graph = infer_shapes(LayerGraph(nodes, doc["output_id"], doc.get("meta", {})), nodes[0].out_shape)
+    meta = doc.get("meta", {})
+    if not (isinstance(doc.get("output_id"), str) and isinstance(doc.get("nodes"), list) and isinstance(meta, dict)):
+        raise GraphError("a graph file needs an output_id string, a list of nodes and, if any, a meta object")
+    arity = {"input": 0, "add": 2}  # inputs a node reads: 1 for other kinds, a concat 1 or more
+    nodes = []
+    for i, nd in enumerate(doc["nodes"]):
+        try:
+            nid, kind, inputs, role, attrs, shape = nd["id"], nd["kind"], nd["inputs"], nd["role"], nd["attrs"], nd["out_shape"]
+            spec = NODE_ATTRS[kind]
+        except (KeyError, TypeError):
+            raise GraphError(f"node {i} lacks id, kind, inputs, role, attrs or out_shape, or has a kind not in {[*NODE_ATTRS]}") from None
+        if not (
+            type(nid) is str and type(role) is str and type(attrs) is dict and type(shape) is list
+            and type(inputs) is list and all(type(src) is str for src in inputs)
+        ):  # fmt: skip
+            raise GraphError(f"node {i} ({nid!r}) needs a str id and role, a dict of attrs and lists of inputs and out_shape")
+        if len(inputs) != arity.get(kind, 1) and not (kind == "concat" and inputs):
+            raise GraphError(f"node {nid!r} of kind {kind} cannot read {len(inputs)} inputs")
+        if attrs.keys() != spec.keys():
+            bad = sorted(attrs.keys() ^ spec.keys())[0]
+            got = repr(attrs[bad]) if bad in attrs else "missing"
+            raise GraphError(f"node {nid!r} attribute {bad!r} is {got}; {kind} nodes take {spec}")
+        for a, v in spec.items():
+            x = attrs[a]
+            # a value the table leaves open is a positive int, or 0 for a pad
+            if x != v if v is not None else type(x) is not int or x < (0 if a == "pad" else 1):
+                raise GraphError(f"node {nid!r} attribute {a!r} is {x!r}; {kind} nodes take {spec}")
+        nodes.append(Node(nid, kind, tuple(inputs), role, attrs, tuple(shape)))
+    _check_graph(nodes, doc["output_id"])
+    shape = nodes[0].out_shape  # the one stored shape that inference reads
+    if len(shape) != 4 or any(type(d) is not int for d in shape):
+        raise GraphError(f"the input's out_shape {list(shape)} is not four ints")
+    graph = infer_shapes(LayerGraph(tuple(nodes), doc["output_id"], meta), shape)
     for stored, node in zip(nodes, graph.nodes):
         if stored.out_shape != node.out_shape:
             raise GraphError(f"node {node.id!r} stores shape {stored.out_shape}, its inputs give {node.out_shape}")
-        spec = NODE_ATTRS[node.kind]
-        bad = sorted(node.attrs.keys() ^ spec.keys()) or [a for a, v in spec.items() if v is not None and node.attrs[a] != v]
-        if bad:
-            got = repr(node.attrs[bad[0]]) if bad[0] in node.attrs else "missing"
-            raise GraphError(f"node {node.id!r} attribute {bad[0]!r} is {got}; {node.kind} nodes take {spec}")
     return graph

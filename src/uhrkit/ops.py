@@ -32,9 +32,9 @@ input).  The strided path stages every band, with ``pad=0`` as well, so
 its im2col always reads one staged band.
 
 Every forward primitive but the convolution takes an ``out=`` array.  The
-executor picks it by two rules: an elementwise primitive overwrites an
-input buffer it is the last consumer of (so a batchnorm that alone reads
-a conv's output normalizes it in place), and an upsampling or channel
+executor picks it by two rules: an elementwise primitive overwrites its
+first input once no other read of it is left (so a batchnorm that alone
+reads a conv's output normalizes it in place), and an upsampling or channel
 pool writes into its channel slice of its concat's output, which saves a
 second copy.  This module owns the arithmetic of every primitive; the
 executor only chooses where results go.  The upsampling gathers with

@@ -9,9 +9,10 @@ One executor, :meth:`_Exec.walk`, runs both the forward pass and the
 gradient checker's replay: it walks a shaped
 :class:`~uhrkit.graph.LayerGraph` in topological order over plain numpy
 arrays.  Each node's arithmetic is one call of a :mod:`uhrkit.ops`
-primitive; the walk only picks the buffer each result goes into.  The
-reverse sweep, :func:`run_backward`, is the only reverse-mode engine and
-mirrors the walk with the matching VJPs, over the executor's parameters.
+primitive; the walk only picks the buffer each result goes into, by
+tables built once per graph (:class:`_Exec`).  The reverse sweep,
+:func:`run_backward`, is the only reverse-mode engine and mirrors the
+walk with the matching VJPs, over the executor's parameters.
 
 Gradient verification compares the reverse-mode gradients against central
 differences ``(f(t+eps) - f(t-eps)) / (2 eps)`` of the scalar verification
@@ -246,12 +247,12 @@ def load_weights(path) -> WeightStore:
 
 
 class _Exec:
-    """Per-run caches: dtype-cast parameters, and the walk's plan of
+    """A shaped graph's executor, built once per graph: its dtype-cast
+    parameters, the node after which the walk drops each buffer, and the
     producers that write straight into their concat's output."""
 
     def __init__(self, graph: LayerGraph, store: WeightStore, dtype):
         self.graph = graph
-        self.dtype = np.dtype(dtype)
         self.params: dict[str, np.ndarray] = {}
         for name, _nid, _kind, shape in param_entries(graph):
             if name not in store.arrays:
@@ -259,8 +260,12 @@ class _Exec:
             arr = store.arrays[name]
             if arr.shape != shape:
                 raise WeightShapeMismatch(f"weight {name} has shape {arr.shape}, node expects {shape}")
-            self.params[name] = arr.astype(self.dtype, copy=False)
+            self.params[name] = arr.astype(dtype, copy=False)
         readers = Counter(src for node in graph.nodes for src in node.inputs)
+        # buffer -> its last reader, after which the walk drops it; the graph's
+        # input and output are never dropped, so they have no entry
+        fixed = (graph.input_id, graph.output_id)
+        self.last = {src: node.id for node in graph.nodes for src in node.inputs if src not in fixed}
         # upsample/chpool -> (its concat, channel offset) when that concat is
         # the sole consumer; the walk writes such a producer into its slice
         # of the concat's output instead of copying it there afterwards
@@ -293,13 +298,13 @@ class _Exec:
         ``acts`` starts with the walk's own buffer (the graph input, or the
         perturbed owner lanes) and collects node outputs.  An input missing
         from it is read from the read-only ``base`` activations, broadcast
-        along the batch axis.  Unless ``keep`` is set, an elementwise node
-        (batchnorm, ReLU, add) overwrites its first input's buffer when it
-        is that buffer's last consumer, so a batchnorm that alone reads its
-        conv's output normalizes it in place, and buffers are dropped after
-        their last consumer; with ``keep`` every output stays in ``acts``
-        for the reverse sweep.  The graph input and output are never
-        overwritten or dropped.
+        along the batch axis.  Unless ``keep`` is set, a buffer is dropped
+        after its last reader in the graph, which in a replay descends from
+        the owner, and an elementwise node (batchnorm, ReLU, add) that is
+        its first input's last reader, and reads it once, overwrites it: a
+        batchnorm that alone reads its conv's output normalizes it in
+        place.  With ``keep`` every output stays in ``acts`` for the reverse
+        sweep.  The graph input and output are never overwritten or dropped.
 
         Also unless ``keep`` is set, an upsample or channel pool whose sole
         consumer is a concat writes its output straight into its channel
@@ -314,12 +319,7 @@ class _Exec:
         ``|z|``, weighted by the baseline sensitivity of the loss to that
         unit.  Without ``kink_ctx`` the bound is zero.
         """
-        fixed = (self.graph.input_id, self.graph.output_id)
         b = next(iter(acts.values())).shape[0]
-        remaining: dict[str, int] = {}
-        for node in nodes:
-            for src in node.inputs:
-                remaining[src] = remaining.get(src, 0) + 1
 
         def fetch(src: str) -> np.ndarray:
             a = acts.get(src)
@@ -347,7 +347,7 @@ class _Exec:
         for node in nodes:
             ins = [fetch(src) for src in node.inputs]
             src0 = node.inputs[0]
-            own0 = not keep and src0 in acts and remaining[src0] == 1 and src0 not in fixed
+            own0 = not keep and src0 in acts and self.last.get(src0) == node.id and node.inputs.count(src0) == 1
             reuse = ins[0] if own0 else None  # a buffer an elementwise node may overwrite
             kind = node.kind
             if kind == "conv":
@@ -377,10 +377,8 @@ class _Exec:
                 raise ShapeMismatch(f"node {node.id!r} produced {y.shape}, expected {node.out_shape}")
             if not keep:
                 for src in node.inputs:
-                    if src in acts and src not in fixed:
-                        remaining[src] -= 1
-                        if remaining[src] == 0:
-                            del acts[src]
+                    if self.last.get(src) == node.id:
+                        acts.pop(src, None)
             acts[node.id] = y
         out = acts.get(self.graph.output_id)
         if out is None:  # the walk does not reach the output; it is constant
@@ -421,11 +419,12 @@ def run_forward(
         raise ShapeMismatch(f"input shape {x.shape} does not match the graph's {want}")
     acts = {graph.input_id: x}
     ex = _Exec(graph, store, x.dtype)
+    macs = _conv_macs(graph)
     with contextlib.ExitStack() as stack:
         # decided under the lock, once any other thread's hold has restored
         # the count it read; a forward too small for lanes waits for no hold
-        with _HOLD if _conv_macs(graph) >= LANE_MACS else contextlib.nullcontext():
-            blas, _, lanes = _forward_lanes(graph)
+        with _HOLD if macs >= LANE_MACS else contextlib.nullcontext():
+            blas, _, lanes = _forward_lanes(macs)
             if lanes:
                 stack.enter_context(blas.hold())
         stack.enter_context(ops._open_lanes(lanes))
@@ -438,15 +437,15 @@ def run_forward(
 LANE_MACS = 8 * 2**30
 
 
-def _forward_lanes(graph: LayerGraph) -> tuple[_Blas, int, int]:
-    """How the forward of the shaped ``graph`` uses the cores: the BLAS
-    handle, the BLAS threads in use now (0 if unreadable) and the lanes it
-    opens.  That is one lane per BLAS thread when the convolutions reach
-    ``LANE_MACS`` multiply-accumulates and BLAS runs on 1 to
-    ``ops.GEMM_PARTS`` threads (the only counts measured), else 0."""
+def _forward_lanes(macs: int) -> tuple[_Blas, int, int]:
+    """How a forward whose convolutions make ``macs`` multiply-accumulates
+    (:func:`_conv_macs`) uses the cores: the BLAS handle, the BLAS threads
+    in use now (0 if unreadable) and the lanes it opens.  That is one lane
+    per BLAS thread when ``macs`` reaches ``LANE_MACS`` and BLAS runs on 1
+    to ``ops.GEMM_PARTS`` threads (the only counts measured), else 0."""
     blas = _blas()
     n = blas.threads()
-    return blas, n, (n if 1 <= n <= ops.GEMM_PARTS and _conv_macs(graph) >= LANE_MACS else 0)
+    return blas, n, (n if 1 <= n <= ops.GEMM_PARTS and macs >= LANE_MACS else 0)
 
 
 def _conv_macs(graph: LayerGraph) -> int:

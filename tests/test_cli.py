@@ -274,7 +274,7 @@ def test_forward_json_reports_dtype_time_and_finiteness(tmp_path, capsys):
         blas = runtime._blas()
         assert (doc["blas_limiter"], doc["blas_threads"]) == (blas.name, blas.threads())
         g = infer_shapes(presets.build("uhrnet-w18-small-va"), data.shape)
-        assert doc["lanes"] == max(1, runtime._forward_lanes(g)[2]) == 1  # too small to open lanes
+        assert doc["lanes"] == max(1, runtime._forward_lanes(runtime._conv_macs(g))[2]) == 1  # too small to open lanes
     limiter = blas.name
     if limiter != "none":  # the count is read when the pass runs
         argv = ["forward", "--preset", "uhrnet-w18-small-va", "--input-file", str(xfile), "--out-file", str(yfile)]

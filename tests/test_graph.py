@@ -330,24 +330,19 @@ def test_import_rederives_stored_shapes():
         import_graph(json.dumps(bad_inner))
 
 
-def test_import_rejects_a_channel_pooling_other_than_avg():
-    # the executor only averages, so a file asking for another pooling must
-    # not import and then run as an average
-    doc = json.loads(export_graph(infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)))
-    pools = [nd for nd in doc["nodes"] if nd["kind"] == "chpool"]
-    assert pools and all(nd["attrs"]["mode"] == "avg" for nd in pools)
-    pools[-1]["attrs"]["mode"] = "max"
-    with pytest.raises(GraphError, match=f"node {pools[-1]['id']!r} pools by 'max'"):
-        import_graph(json.dumps(doc))
-
-
 @pytest.mark.parametrize(
     "kind, attr, value",
-    [("upsample", "factor", 4), ("chpool", "k", 3), ("bn", "eps", 0.001), ("conv", "dilation", 2)],
+    [
+        ("upsample", "factor", 4),
+        ("chpool", "k", 3),
+        ("chpool", "mode", "max"),
+        ("bn", "eps", 0.001),
+        ("conv", "dilation", 2),
+    ],
 )
 def test_import_rejects_attributes_the_executor_would_ignore(kind, attr, value):
     # each edit keeps every shape, and the executor would run the node as if
-    # the attribute were absent or at its only value
+    # the attribute were absent or at its only value (it only averages)
     doc = json.loads(export_graph(infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)))
     node = [nd for nd in doc["nodes"] if nd["kind"] == kind][-1]
     node["attrs"][attr] = value
@@ -355,11 +350,60 @@ def test_import_rejects_attributes_the_executor_would_ignore(kind, attr, value):
         import_graph(json.dumps(doc))
 
 
+GONE = "<deleted>"  # the edit deletes the field
+
+
+@pytest.mark.parametrize(
+    "where, field, value",
+    [
+        ("text", None, "{not json"),
+        ("text", None, "[]"),
+        ("document", "nodes", GONE),
+        ("document", "output_id", GONE),
+        ("document", "meta", [1]),
+        ("relu", "role", GONE),
+        ("relu", "attrs", []),
+        ("conv", "inputs", 5),
+        ("bn", "inputs", []),
+        ("conv", "attrs.in_ch", GONE),
+        ("conv", "attrs.k", "3"),
+        ("conv", "attrs.stride", True),
+        ("conv", "attrs.stride", 0),
+    ],
+)
+def test_import_rejects_malformed_documents(where, field, value):
+    # each of these once imported (a bool stride) or escaped as KeyError,
+    # AttributeError, TypeError, IndexError, ZeroDivisionError or
+    # JSONDecodeError
+    doc = json.loads(export_graph(infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)))
+    if where == "text":
+        text = value
+    else:
+        target = doc if where == "document" else [nd for nd in doc["nodes"] if nd["kind"] == where][-1]
+        if field.startswith("attrs."):
+            target, field = target["attrs"], field.removeprefix("attrs.")
+        if value == GONE:
+            del target[field]
+        else:
+            target[field] = value
+        text = json.dumps(doc)
+    with pytest.raises(GraphError):
+        import_graph(text)
+
+
+def test_import_rejects_a_second_input_node():
+    # the walk would index the inputs of a node that has none
+    doc = json.loads(export_graph(infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)))
+    doc["nodes"].insert(1, dict(doc["nodes"][0], id="x2"))
+    with pytest.raises(GraphError, match="node 'x2' is a second input"):
+        import_graph(json.dumps(doc))
+
+
 def test_import_rejects_unknown_version():
     g = infer_shapes(presets.build("uhrnet-w18-small-va"), (1, 3, 64, 64))
     doc = json.loads(export_graph(g))
     doc["format_version"] = 99
-    with pytest.raises(Exception):
+    with pytest.raises(GraphError, match="unsupported graph format version 99"):
         import_graph(json.dumps(doc))
 
 

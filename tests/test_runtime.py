@@ -17,7 +17,9 @@ from uhrkit import analysis, ops, presets, runtime
 from uhrkit.dsl import parse_structure
 from uhrkit.graph import (
     IndivisibleInput,
+    LayerGraph,
     NetworkConfig,
+    Node,
     build_uhrnet,
     export_graph,
     import_graph,
@@ -270,29 +272,50 @@ def test_walk_runs_the_ops_primitives(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_batchnorm_overwrites_the_conv_output_it_alone_reads(monkeypatch, dtype):
-    # without kept activations, a batchnorm that is its conv's only reader
-    # normalizes the conv's output in place
-    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
-    store = init_weights(g, 42).astype(dtype)
-    x = verification_input(g.nodes[0].out_shape, 42).data.astype(dtype)
-    conv, bn = ops.conv2d_fwd, ops.batchnorm_fwd
-    conv_outs, bn_calls = [], []
-    monkeypatch.setattr(ops, "conv2d_fwd", lambda *a: conv_outs.append(conv(*a)) or conv_outs[-1])
-    monkeypatch.setattr(ops, "batchnorm_fwd", lambda x, *p, out=None: bn_calls.append((x, out)) or bn(x, *p, out=out))
-    run_forward(g, store, x)
-    convs = [n.id for n in g.nodes if n.kind == "conv"]
-    bns = [n for n in g.nodes if n.kind == "bn"]
-    assert (len(conv_outs), len(bn_calls)) == (len(convs), len(bns))
-    readers = [src for n in g.nodes for src in n.inputs]
-    checked = 0
-    for node, (x_in, out) in zip(bns, bn_calls):
-        src = node.inputs[0]
-        if g.node(src).kind == "conv" and readers.count(src) == 1:
-            assert x_in is conv_outs[convs.index(src)], node.id
-            assert out is not None and np.shares_memory(out, x_in), node.id
-            checked += 1
-    assert checked == len(bns)
+@pytest.mark.parametrize("kind", ["bn", "relu", "add"])
+def test_an_elementwise_node_overwrites_the_input_it_reads_last(monkeypatch, kind, dtype):
+    # without kept activations, a node writes over its first input exactly
+    # when it is that buffer's last reader, reads it once, and the buffer is
+    # not the graph's input or output; a batchnorm that alone reads its
+    # conv's output normalizes it in place
+    prim = {"bn": "batchnorm_fwd", "relu": "relu_fwd", "add": "add_fwd"}[kind]
+    fwd, calls = getattr(ops, prim), []
+    monkeypatch.setattr(ops, prim, lambda *a, out=None: calls.append((a[0], out)) or fwd(*a, out=out))
+    for g in (infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE), tiny_graph()):
+        store = init_weights(g, 42).astype(dtype)
+        calls.clear()
+        run_forward(g, store, verification_input(g.nodes[0].out_shape, 42).data.astype(dtype))
+        nodes = [n for n in g.nodes if n.kind == kind]
+        assert len(calls) == len(nodes)
+        last = {src: n for n in g.nodes for src in n.inputs}
+        owned = 0
+        for node, (x_in, out) in zip(nodes, calls):
+            src = node.inputs[0]
+            if last[src] is node and node.inputs.count(src) == 1 and src not in (g.input_id, g.output_id):
+                assert out is x_in, node.id
+                owned += 1
+            else:
+                assert out is None, node.id
+        assert owned  # every bn and relu of both graphs, and most adds
+
+
+def test_a_node_that_reads_a_buffer_twice_does_not_overwrite_it(monkeypatch):
+    # add(r, r) is r's last reader but reads it twice
+    nodes = (
+        Node("x", "input", (), "stem", {"ch": 3}),
+        Node("c", "conv", ("x",), "stem", {"k": 3, "stride": 1, "pad": 1, "in_ch": 3, "out_ch": 4}),
+        Node("r", "relu", ("c",), "stem"),
+        Node("a", "add", ("r", "r"), "stem"),
+        Node("b", "bn", ("a",), "stem", {"ch": 4}),
+    )
+    g = infer_shapes(LayerGraph(nodes, "b"), (1, 3, 64, 64))
+    store = init_weights(g, 6)
+    x = verification_input(g.nodes[0].out_shape, 6).data
+    add, outs = ops.add_fwd, []
+    monkeypatch.setattr(ops, "add_fwd", lambda x, y, out=None: outs.append(out) or add(x, y, out=out))
+    got, _ = run_forward(g, store, x)
+    assert outs == [None]
+    assert got.tobytes() == run_forward(g, store, x, keep_activations=True)[0].tobytes()
 
 
 def test_micro_graph_places_producers_into_concats():
@@ -731,7 +754,7 @@ def test_forward_bytes_do_not_depend_on_the_lanes(monkeypatch, dtype, band_bytes
         outs = {}
         for lanes in (1, 2):
             with blas_threads(lanes):
-                assert runtime._forward_lanes(g)[1:] == (lanes, lanes)
+                assert runtime._forward_lanes(runtime._conv_macs(g))[1:] == (lanes, lanes)
                 outs[lanes], _ = run_forward(g, store, x)
         assert outs[1].dtype == dtype
         assert outs[1].tobytes() == outs[2].tobytes()
@@ -777,19 +800,19 @@ def test_only_large_forwards_on_few_blas_threads_open_lanes(monkeypatch):
         # below LANE_MACS the forward opens no lane, and BLAS keeps its own
         # thread count
         monkeypatch.setattr(runtime, "LANE_MACS", runtime._conv_macs(g) + 1)
-        assert runtime._forward_lanes(g) == (blas, 2, 0)
+        assert runtime._forward_lanes(runtime._conv_macs(g)) == (blas, 2, 0)
         run_forward(g, store, x)
         assert set(seen) == {(0, 2)}
         seen.clear()
         monkeypatch.setattr(runtime, "LANE_MACS", runtime._conv_macs(g))
-        assert runtime._forward_lanes(g) == (blas, 2, 2)
+        assert runtime._forward_lanes(runtime._conv_macs(g)) == (blas, 2, 2)
         run_forward(g, store, x)
         assert set(seen) == {(2, 1)}
         assert blas.threads() == 2  # restored
     # more BLAS threads than GEMM_PARTS were never measured: no lanes either
     many = replace(blas, threads=lambda: ops.GEMM_PARTS + 1)
     monkeypatch.setattr(runtime, "_blas", lambda: many)
-    assert runtime._forward_lanes(g) == (many, ops.GEMM_PARTS + 1, 0)
+    assert runtime._forward_lanes(runtime._conv_macs(g)) == (many, ops.GEMM_PARTS + 1, 0)
 
 
 @needs_limiter

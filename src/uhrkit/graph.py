@@ -389,35 +389,32 @@ def build_uhrnet(seq: StageSequence, cfg: NetworkConfig, label: str | None = Non
                 new_cur[new] = b.conv_bn_relu(
                     f"t{si}to{si + 1}.down", cur[inherited], width[inherited], width[new], 3, 2, "transition"
                 )
-            else:  # upsampling move, optionally fused with the skip feature
+            else:  # upsampling move, fused with the feature an earlier stage always left at level new
                 t = b.conv_bn(
                     f"t{si}to{si + 1}.reduce", cur[inherited], width[inherited], width[new], 1, 1, "transition"
                 )
                 t = b.up(f"t{si}to{si + 1}.up", t, "transition")
-                skip = last_at.get(new)
-                if skip is not None and skip.ch == width[new]:
-                    if cfg.fusion_kind == "FusionB":
-                        if width[new] % 2:
-                            raise InvalidSequence(
-                                f"fusion pooling needs an even width, got {width[new]}; "
-                                "use an even base width"
-                            )
-                        p_up = b.pool(f"fuse{si + 1}.pool_up", t, "fusion")
-                        p_skip = b.pool(f"fuse{si + 1}.pool_skip", skip.node, "fusion")
-                        y = b.cat(f"fuse{si + 1}.concat", [p_up, p_skip], "fusion")
-                    else:
-                        y = b.addop(f"fuse{si + 1}.add", t, skip.node, "fusion")
-                    new_cur[new] = b.relu(f"fuse{si + 1}.out", y, "fusion")
-                    fusions.append(
-                        {
-                            "target_stage": si + 1,
-                            "source_stage": skip.stage,
-                            "level": new,
-                            "kind": cfg.fusion_kind,
-                        }
-                    )
+                skip = last_at[new]
+                if cfg.fusion_kind == "FusionB":
+                    if width[new] % 2:
+                        raise InvalidSequence(
+                            f"fusion pooling needs an even width, got {width[new]}; "
+                            "use an even base width"
+                        )
+                    p_up = b.pool(f"fuse{si + 1}.pool_up", t, "fusion")
+                    p_skip = b.pool(f"fuse{si + 1}.pool_skip", skip.node, "fusion")
+                    y = b.cat(f"fuse{si + 1}.concat", [p_up, p_skip], "fusion")
                 else:
-                    new_cur[new] = b.relu(f"t{si}to{si + 1}.out", t, "transition")
+                    y = b.addop(f"fuse{si + 1}.add", t, skip.node, "fusion")
+                new_cur[new] = b.relu(f"fuse{si + 1}.out", y, "fusion")
+                fusions.append(
+                    {
+                        "target_stage": si + 1,
+                        "source_stage": skip.stage,
+                        "level": new,
+                        "kind": cfg.fusion_kind,
+                    }
+                )
         cur = new_cur
 
     out_id, head_meta = _head(b, last_at)

@@ -2,9 +2,10 @@
 
 Everything runs on plain numpy arrays, float32 by default with float64
 available for verification work.  Each primitive comes as a forward
-function plus an explicit VJP.  The graph executor and the reverse sweep
-in :mod:`uhrkit.runtime` call these pairs, so there is exactly one
-implementation of every primitive and of its derivative.
+function plus an explicit VJP.  The graph executor, the reverse sweep
+and the gradient checker's nudges in :mod:`uhrkit.runtime` call these
+pairs, so there is exactly one implementation of every primitive and of
+its derivative.
 
 The module also holds the one binary codec for a tensor entry,
 ``{u8 dtype, u8 rank, u64 dims[rank], little-endian payload}``, used by
@@ -27,9 +28,9 @@ one-row bands than from one band.  The reference presets keep their
 bytes only because their narrow maps fit one band.  Each band's input
 rows, with the kernel's halo, are staged zero-padded into one band-sized
 buffer whose zero border is written once per call: no padded copy of the
-whole input exists (the VJP and ``conv_windows`` still pad the whole
-input).  The strided path stages every band, with ``pad=0`` as well, so
-its im2col always reads one staged band.
+whole input exists (the VJP still pads the whole input).  The strided
+path stages every band, with ``pad=0`` as well, so its im2col always
+reads one staged band.
 
 Every forward primitive but the convolution takes an ``out=`` array.  The
 executor picks it by two rules: an elementwise primitive overwrites its
@@ -104,7 +105,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeMismatch(ValueError):
@@ -218,16 +218,6 @@ def _spans(total: int, parts: int) -> list[tuple[int, int]]:
 def _pad(x: np.ndarray, pad: int) -> np.ndarray:
     """``x`` zero-padded by ``pad`` on both spatial axes."""
     return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-
-
-def conv_windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Sliding input windows of a conv, shape (N, C, Ho, Wo, k, k).
-
-    Returns a strided view (no copy); also used by the gradient checker to
-    form single-column perturbations without a full re-convolution.
-    """
-    win = sliding_window_view(_pad(x, pad), (k, k), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
 
 
 def _band_rows(row_bytes: int, halo: int, rows: int) -> int:

@@ -16,8 +16,10 @@ walk with the matching VJPs, over the executor's parameters.
 
 Gradient verification compares the reverse-mode gradients against central
 differences ``(f(t+eps) - f(t-eps)) / (2 eps)`` of the scalar verification
-loss (the mean of the output map), in float64.  Three details make this
-fast and sound:
+loss (the mean of the output map), in float64.  The owner's nudged
+outputs come from its own forward primitive, as the replayed nodes'
+outputs do, so a forward that disagrees with its VJP fails the check.
+Three details make this fast and sound:
 
 * only the nodes downstream of the perturbed parameter are re-executed,
   against cached baseline activations, and all sampled coordinates of one
@@ -731,46 +733,35 @@ def _stacked_patch(
     eps: float,
     base_out: np.ndarray,
     x_in: np.ndarray,
-    params: dict[str, np.ndarray],
-    win: np.ndarray | None,
+    ex: _Exec,
 ) -> np.ndarray:
     """Owner-node outputs under ±eps single-coordinate nudges, stacked as a
     batch ``[+eps lanes..., -eps lanes...]``.
 
-    The owner is affine in each of its parameters (batchnorm variance is
-    recomputed outright), so no re-convolution is needed: a conv weight
-    coordinate contributes ``eps`` times one input-window column to one
-    output channel.
+    Every nudge goes through the owner's own primitive, so a forward that
+    disagrees with its VJP fails the check.  A batchnorm parameter's lanes
+    are one :func:`~uhrkit.ops.batchnorm_fwd` call over the sampled
+    channels, one channel per lane, with the lane's coordinate nudged.  A
+    conv is linear in its weight, so each lane adds to the baseline one
+    output channel of one :func:`~uhrkit.ops.conv2d_fwd` call whose
+    kernels are ±eps at the lane's coordinate and zero elsewhere.
     """
     k = len(coords)
+    lane = np.arange(2 * k)
+    nudge = np.repeat([eps, -eps], k)
+    at = np.concatenate([coords, coords])  # the coordinate each lane nudges
     lanes = np.repeat(base_out, 2 * k, axis=0)
     if kind == "conv.w":
-        for i, idx in enumerate(coords):
-            o, ci, ki, kj = np.unravel_index(int(idx), params[f"{node.id}.w"].shape)
-            col = win[0, ci, :, :, ki, kj]
-            lanes[i, o] += eps * col
-            lanes[k + i, o] -= eps * col
+        w = ex.params[f"{node.id}.w"]
+        out_ch, tap = np.divmod(at, w[0].size)
+        kernels = np.zeros((2 * k, w[0].size), w.dtype)
+        kernels[lane, tap] = nudge
+        a = node.attrs
+        lanes[lane, out_ch] += ops.conv2d_fwd(x_in, kernels.reshape(2 * k, *w.shape[1:]), a["stride"], a["pad"])[0]
         return lanes
-    g = params[f"{node.id}.gamma"]
-    beta = params[f"{node.id}.beta"]
-    m = params[f"{node.id}.mean"]
-    v = params[f"{node.id}.var"]
-    for i, idx in enumerate(coords):
-        c = int(idx)
-        if kind == "bn.var":  # exact recompute of the nudged channel
-            lanes[i, c] = g[c] * (x_in[0, c] - m[c]) / np.sqrt(v[c] + eps + ops.BN_EPS) + beta[c]
-            lanes[k + i, c] = g[c] * (x_in[0, c] - m[c]) / np.sqrt(v[c] - eps + ops.BN_EPS) + beta[c]
-            continue
-        # the channel's signed slope in the parameter; negating is exact,
-        # so both lanes move by the same magnitude
-        if kind == "bn.gamma":
-            slope = (x_in[0, c] - m[c]) / np.sqrt(v[c] + ops.BN_EPS)
-        elif kind == "bn.beta":
-            slope = 1.0
-        else:  # bn.mean
-            slope = -g[c] / np.sqrt(v[c] + ops.BN_EPS)
-        lanes[i, c] += eps * slope
-        lanes[k + i, c] -= eps * slope
+    bn = [p[at] for p in ex.bn_params(node.id)]  # a coordinate is a channel
+    bn[("bn.gamma", "bn.beta", "bn.mean", "bn.var").index(kind)] += nudge
+    lanes[lane, at] = ops.batchnorm_fwd(x_in[:, at], *bn)[0]
     return lanes
 
 
@@ -817,10 +808,7 @@ class _GradCheck:
             sub = self.descendants[node_id] = _descendants(self.graph, node_id)
         base_out = acts[node_id]
         x_in = acts[node.inputs[0]]
-        win = None
-        if kind == "conv.w":
-            a = node.attrs
-            win = ops.conv_windows(x_in, a["k"], a["stride"], a["pad"])
+        var = self.ex.params[f"{node_id}.var"] if kind == "bn.var" else None
         gap_budget = 0.5 * self.tolerance
         checked = skipped = nonfinite = 0
         pos = 0
@@ -831,32 +819,37 @@ class _GradCheck:
         while checked < want and pos < budget:
             chunk = order[pos : pos + min(budget - pos, want - checked + 4, 24)]
             pos += len(chunk)
-            if kind == "bn.var":  # keep var + eps positive on the minus side
-                ok = self.ex.params[f"{node_id}.var"][chunk] - eps + ops.BN_EPS > 0
-                skipped += int((~ok).sum())
-                chunk = chunk[ok]
-                if len(chunk) == 0:
-                    continue
-            k = len(chunk)
-            lanes = _stacked_patch(kind, node, chunk, eps, base_out, x_in, self.ex.params, win)
-            out_lanes, kink_err = self.ex.walk(sub, {node_id: lanes}, base=acts, kink_ctx=self.kink_ctx)
-            # subtract before reducing: the elementwise deltas are tiny and
-            # nearly equal in exponent, so these means are almost exact
-            fd = (out_lanes[:k] - out_lanes[k:]).mean(axis=(1, 2, 3)) / (2 * eps)
-            # sensitivities already carry the 1/size of the mean loss
-            bound = (kink_err[:k] + kink_err[k:]) / (2 * eps)
-            for i, idx in enumerate(chunk):
+            # a var nudge must keep var - eps + BN_EPS positive; only the
+            # coordinates that do are replayed
+            valid = var[chunk] - eps + ops.BN_EPS > 0 if var is not None else np.ones(len(chunk), bool)
+            results = iter(())
+            if valid.any():
+                coords = chunk[valid]
+                k = len(coords)
+                lanes = _stacked_patch(kind, node, coords, eps, base_out, x_in, self.ex)
+                out_lanes, kink_err = self.ex.walk(sub, {node_id: lanes}, base=acts, kink_ctx=self.kink_ctx)
+                # subtract before reducing: the elementwise deltas are tiny and
+                # nearly equal in exponent, so these means are almost exact
+                fd = (out_lanes[:k] - out_lanes[k:]).mean(axis=(1, 2, 3)) / (2 * eps)
+                # sensitivities already carry the 1/size of the mean loss
+                bound = (kink_err[:k] + kink_err[k:]) / (2 * eps)
+                results = zip(coords, fd, bound)
+            for ok in valid:
                 if checked >= want:
                     break
+                if not ok:
+                    skipped += 1
+                    continue
+                idx, fd_val, kink_bound = next(results)
                 a_val = float(analytic[idx])
-                fd_val = float(fd[i])
+                fd_val = float(fd_val)
                 denom = max(abs(a_val), abs(fd_val), 1e-8)
                 rel = abs(a_val - fd_val) / denom
                 # max() would drop a NaN, so a non-finite comparison is counted
                 # as a failure of its own, never as a kink skip
                 if not (math.isfinite(fd_val) and math.isfinite(rel)):
                     nonfinite += 1
-                elif bound[i] > gap_budget * denom:
+                elif kink_bound > gap_budget * denom:
                     skipped += 1
                     continue
                 else:

@@ -23,7 +23,7 @@ from uhrkit.graph import (
     resolution_level,
     stage_level_sets,
 )
-from uhrkit.ops import ShapeMismatch
+from uhrkit.ops import OddChannelCount, ShapeMismatch
 
 SMALL = parse_structure("1v1v2v2v2^1^1^1^1")
 CFG18 = NetworkConfig(base_width=18, blocks_per_branch=2)
@@ -351,6 +351,7 @@ def test_import_rejects_attributes_the_executor_would_ignore(kind, attr, value):
 
 
 GONE = "<deleted>"  # the edit deletes the field
+ROTATED = "<rotated>"  # the edit moves the list's first item to its end
 
 
 @pytest.mark.parametrize(
@@ -369,12 +370,18 @@ GONE = "<deleted>"  # the edit deletes the field
         ("conv", "attrs.k", "3"),
         ("conv", "attrs.stride", True),
         ("conv", "attrs.stride", 0),
+        ("relu", "id", "stem.conv1.relu"),
+        ("conv", "inputs", ["head.conv.relu"]),
+        ("document", "output_id", "nowhere"),
+        ("document", "nodes", ROTATED),
     ],
 )
 def test_import_rejects_malformed_documents(where, field, value):
     # each of these once imported (a bool stride) or escaped as KeyError,
     # AttributeError, TypeError, IndexError, ZeroDivisionError or
-    # JSONDecodeError
+    # JSONDecodeError; the last four are a duplicate id, a node reading
+    # one produced later, an output that names no node and a first node
+    # that is not the input
     doc = json.loads(export_graph(infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)))
     if where == "text":
         text = value
@@ -384,11 +391,40 @@ def test_import_rejects_malformed_documents(where, field, value):
             target, field = target["attrs"], field.removeprefix("attrs.")
         if value == GONE:
             del target[field]
+        elif value == ROTATED:
+            target[field].append(target[field].pop(0))
         else:
             target[field] = value
         text = json.dumps(doc)
     with pytest.raises(GraphError):
         import_graph(text)
+
+
+@pytest.mark.parametrize(
+    "edits, error, message",
+    [
+        pytest.param({"input": {"out_shape": [1, 3, 0, 64]}}, ShapeMismatch,
+                     "input shape must be a positive N,C,H,W, got (1, 3, 0, 64)", id="empty-input"),
+        pytest.param({"stem.conv2.conv": {"in_ch": 32}}, ShapeMismatch,
+                     "node 'stem.conv2.conv' expects 32 channels, producer has 64", id="conv-in-ch"),
+        pytest.param({"stem.conv1.bn": {"ch": 32}}, ShapeMismatch,
+                     "node 'stem.conv1.bn' normalizes 32 channels, producer has 64", id="bn-ch"),
+        pytest.param({"s2.m0.b0.blk0.c2.conv": {"stride": 2}}, ShapeMismatch,
+                     "node 's2.m0.b0.blk0.add' adds mismatched shapes", id="add"),
+        pytest.param({"t6to7.reduce.conv": {"stride": 2}}, ShapeMismatch,
+                     "node 'fuse7.concat' concatenates mismatched shapes", id="concat"),
+        pytest.param({"t6to7.reduce.conv": {"out_ch": 3}, "t6to7.reduce.bn": {"ch": 3}}, OddChannelCount,
+                     "node 'fuse7.pool_up' pools an odd channel count 3", id="odd-pool"),
+    ],
+)  # fmt: skip
+def test_import_rejects_inconsistent_channels_and_shapes(edits, error, message):
+    # every node is well-formed on its own; shape inference finds the clash
+    doc = json.loads(export_graph(infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)))
+    for nd in doc["nodes"]:
+        for field, value in edits.get(nd["id"], {}).items():
+            (nd if field == "out_shape" else nd["attrs"])[field] = value
+    with pytest.raises(error, match=re.escape(message)):
+        import_graph(json.dumps(doc))
 
 
 def test_import_rejects_a_second_input_node():

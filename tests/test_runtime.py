@@ -487,6 +487,41 @@ def test_gradcheck_detects_a_1e4_error_in_one_vjp(monkeypatch):
     assert failed and all(name.endswith(".var") for name in failed)
 
 
+def test_gradcheck_nudges_parameters_through_the_forward_primitives(monkeypatch):
+    # a batchnorm forward that uses half of beta disagrees with its VJP in
+    # beta alone; a checker with its own batchnorm formulas would pass it
+    cores(monkeypatch, 1)
+    g = tiny_graph()
+    store = init_weights(g, 7)
+    for name, arr in store.arrays.items():
+        if name.endswith(".beta"):
+            arr[:] = 0.1
+    true_fwd = ops.batchnorm_fwd
+
+    def half_beta(x, gamma, beta, mean, var, out=None):
+        return true_fwd(x, gamma, 0.5 * beta, mean, var, out=out)
+
+    monkeypatch.setattr(ops, "batchnorm_fwd", half_beta)
+    rep = gradcheck(g, store, verification_input((1, 3, 64, 64), 7), sample_count=2, seed=7)
+    assert not rep.passed
+    failed = [p.name for p in rep.params if p.max_rel_err >= rep.tolerance]
+    assert failed and all(name.endswith(".beta") for name in failed)
+    assert rep.max_rel_err == pytest.approx(0.5, rel=1e-3)
+
+
+def test_var_positivity_skips_stop_with_the_check():
+    # 40% of this var tensor sits where var - eps + BN_EPS is not positive;
+    # the 20th compared draw is draw 26, after 6 such draws, so the look-ahead
+    # past it must not add to the skips
+    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
+    store = init_weights(g, 7)
+    name = "s1.m0.b0.blk0.c1.bn.var"
+    store.arrays[name] = np.where(np.random.default_rng(1).random(64) < 0.4, 5e-5, 1.0).astype(np.float32)
+    check = runtime._GradCheck(g, store, verification_input(presets.MICRO_INPUT_SHAPE, 7), 1e-4, 1e-5, 20, 1)
+    got = check.check(next(e for e in check.entries if e[0] == name))
+    assert (got.sampled, got.checked, got.skipped_kinks, got.nonfinite) == (26, 20, 6, 0)
+
+
 @needs_limiter
 def test_gradcheck_workers_do_not_change_results(monkeypatch):
     # one core runs the forked workers' entry point once, in the calling

@@ -9,7 +9,7 @@ resolution moves, for example ``1v1v2v2v2^1^1^1^1``:
 
 The unicode arrows ``↘`` and ``↗`` are accepted as aliases for ``v`` and
 ``^``.  :func:`format_structure` always emits the ASCII form, and
-``parse(format(seq))`` is the identity on the structural fields.
+``parse(format(seq))`` is the identity.
 
 The implied resolution index starts at 0, moves +1 on every ``v`` and -1 on
 every ``^``, and must stay inside ``[0, 4]``: the family has at most five
@@ -18,7 +18,7 @@ resolution streams (1/4 down to 1/64 of the input).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 MAX_MODULE_COUNT = 99  # sanity bound against pathological inputs
@@ -84,15 +84,12 @@ class StageSequence:
     """Parsed form of a structure encoding.
 
     ``stages[i]`` is the hr-module count of stage ``i+1``；``transitions[i]``
-    is the resolution move between stages ``i+1`` and ``i+2``.  The original
-    text is kept for diagnostics but ignored by equality, so round-tripping
-    through :func:`format_structure` compares equal.
+    is the resolution move between stages ``i+1`` and ``i+2``.
     """
 
     stages: tuple[int, ...]
     transitions: tuple[Direction, ...]
     terminal_two_branch: bool = False
-    source_text: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not self.stages:
@@ -193,7 +190,6 @@ def parse_structure(code: str) -> StageSequence:
         stages=tuple(stages),
         transitions=tuple(transitions),
         terminal_two_branch=terminal,
-        source_text=code,
     )
 
 

@@ -2,10 +2,11 @@
 
 Everything runs on plain numpy arrays, float32 by default with float64
 available for verification work.  Each primitive comes as a forward
-function plus an explicit VJP.  The graph executor, the reverse sweep
-and the gradient checker's nudges in :mod:`uhrkit.runtime` call these
-pairs, so there is exactly one implementation of every primitive and of
-its derivative.
+function plus an explicit VJP, the plain adjoint of the forward (the
+upsampling's multiplies by its interpolation matrices).  The graph
+executor, the reverse sweep and the gradient checker's nudges in
+:mod:`uhrkit.runtime` call these pairs, so there is exactly one
+implementation of every primitive and of its derivative.
 
 The module also holds the one binary codec for a tensor entry,
 ``{u8 dtype, u8 rank, u64 dims[rank], little-endian payload}``, used by
@@ -491,14 +492,11 @@ def batchnorm_vjp(
     gradient checker exercises them even though they would never be trained.
     """
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xm = x - _per_channel(mean)
     dx = dy * _per_channel(gamma * inv)
     axes = (0, 2, 3)
-    dgamma = np.sum(dy * xm, axis=axes) * inv
-    dbeta = np.sum(dy, axis=axes)
-    dmean = -np.sum(dy, axis=axes) * gamma * inv
-    dvar = np.sum(dy * xm, axis=axes) * gamma * (-0.5) * inv**3
-    return dx, dgamma, dbeta, dmean, dvar
+    s = np.sum(dy, axis=axes)
+    sxm = np.sum(dy * (x - _per_channel(mean)), axis=axes)
+    return dx, sxm * inv, s, -s * gamma * inv, sxm * gamma * (-0.5) * inv**3
 
 
 # ---------------------------------------------------------------------------
@@ -587,24 +585,23 @@ def _up2_block(x, out, c0, c1, temp, iy0, iy1, vy, wy, ix0, ix1, vx, wx) -> None
     y += t
 
 
-def _scatter_axis(dy: np.ndarray, i0, i1, w, n_in: int, axis: int) -> np.ndarray:
-    """Transpose of gather-lerp along one axis (accumulates duplicates)."""
-    wb = w.astype(dy.dtype).reshape([-1 if a == axis else 1 for a in range(dy.ndim)])
-    shape = list(dy.shape)
-    shape[axis] = n_in
-    out = np.zeros(shape, dtype=dy.dtype)
-    out_m = np.moveaxis(out, axis, 0)
-    np.add.at(out_m, i0, np.moveaxis(dy * (1 - wb), axis, 0))
-    np.add.at(out_m, i1, np.moveaxis(dy * wb, axis, 0))
-    return out
+def _lerp_matrix(n_in: int, dtype) -> np.ndarray:
+    """The ``(2*n_in, n_in)`` matrix of the corner-aligned lerp along one
+    axis, its weights rounded to ``dtype`` as the forward rounds them."""
+    i0, i1, w = _lerp_axis(n_in)
+    w = w.astype(dtype)
+    a = np.zeros((2 * n_in, n_in), dtype=dtype)
+    rows = np.arange(2 * n_in)
+    a[rows, i0] = 1 - w
+    a[rows, i1] += w
+    return a
 
 
 def bilinear_up2_vjp(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """The adjoint of the upsampling: ``A_h.T @ dy @ A_w``, with the
+    interpolation matrices of both axes."""
     h, w = x.shape[2], x.shape[3]
-    iy0, iy1, wy = _lerp_axis(h)
-    ix0, ix1, wx = _lerp_axis(w)
-    t = _scatter_axis(dy, ix0, ix1, wx, w, axis=3)
-    return _scatter_axis(t, iy0, iy1, wy, h, axis=2)
+    return _lerp_matrix(h, dy.dtype).T @ dy @ _lerp_matrix(w, dy.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +618,7 @@ def channel_pool2_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 
 def channel_pool2_vjp(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    dx = np.empty_like(x)
-    dx[:, ::2] = dy / 2
-    dx[:, 1::2] = dy / 2
-    return dx
+    return np.repeat(dy / 2, 2, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,10 @@ Three details make this fast and sound:
   overshoot ``|z|`` times the baseline loss sensitivity at that unit — and
   a coordinate is skipped and resampled when the bound could corrupt the
   comparison at the tested tolerance.  Away from kinks the central
-  difference is exact up to rounding.  Sampled, compared, and skipped
-  counts are reported per parameter.
+  difference is exact up to rounding.  A ``bn.var`` coordinate whose
+  nudge would not keep the variance positive is skipped as well.  Sampled,
+  compared, kink-skipped and variance-skipped counts are reported per
+  parameter.
 
 Parameters are checked in forked workers, two on a host with two or more
 cores; on one core the same worker runs in the calling process.  The
@@ -549,9 +551,9 @@ def run_backward(
         else:
             grads[nid] = g
 
-    for node in reversed(graph.nodes):
+    for node in reversed(graph.nodes[1:]):  # the first node is the input
         g = grads.pop(node.id, None)
-        if g is None or node.kind == "input":
+        if g is None:
             continue
         if collect and node.id in collect:
             collected[node.id] = g
@@ -580,10 +582,7 @@ def run_backward(
         elif node.kind == "add":
             send(node.inputs[0], g)
             send(node.inputs[1], g)
-    input_grad = grads.get(graph.input_id)
-    if input_grad is None:
-        input_grad = np.zeros_like(acts[graph.input_id])
-    return pgrads, input_grad, collected
+    return pgrads, grads[graph.input_id], collected
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +598,8 @@ class ParamCheck:
     size: int
     sampled: int
     checked: int
-    skipped_kinks: int
+    skipped_kinks: int  # intervals that straddled a ReLU kink
+    skipped_var: int  # bn.var nudges that would not keep the variance positive
     max_rel_err: float  # over the finite comparisons
     nonfinite: int  # comparisons whose difference or error was not finite
 
@@ -642,9 +642,13 @@ class GradCheckReport:
         return sum(p.skipped_kinks for p in self.params)
 
     @property
+    def total_skipped_var(self) -> int:
+        return sum(p.skipped_var for p in self.params)
+
+    @property
     def unchecked(self) -> list[str]:
-        """Non-empty tensors that compared no coordinate: every interval
-        drawn for them straddled a ReLU kink.  They still count as passed."""
+        """Non-empty tensors that compared no coordinate: every coordinate
+        drawn for them was skipped.  They still count as passed."""
         return [p.name for p in self.params if p.size and not p.checked]
 
     @property
@@ -667,6 +671,7 @@ class GradCheckReport:
             "sampled": self.total_sampled,
             "checked": self.total_checked,
             "skipped_kinks": self.total_skipped,
+            "skipped_var": self.total_skipped_var,
             "nonfinite": self.total_nonfinite,
             "fully_sampled": self.fully_sampled,
             "unchecked": self.unchecked,
@@ -680,6 +685,7 @@ class GradCheckReport:
                     "sampled": p.sampled,
                     "checked": p.checked,
                     "skipped_kinks": p.skipped_kinks,
+                    "skipped_var": p.skipped_var,
                     "max_rel_err": p.max_rel_err,
                     "nonfinite": p.nonfinite,
                 }
@@ -692,7 +698,8 @@ class GradCheckReport:
         lines = [
             f"gradcheck: {self.total_sampled} coordinates sampled over {len(self.params)} "
             f"parameter tensors, {self.total_checked} compared "
-            f"({self.total_skipped} intervals straddled a ReLU kink), eps={self.eps:g}, "
+            f"({self.total_skipped} intervals straddled a ReLU kink, {self.total_skipped_var} bn.var "
+            f"nudges would not keep the variance positive), eps={self.eps:g}, "
             f"{self.dtype}, {self.elapsed_seconds:.1f}s",
             f"workers {self.workers}, BLAS limiter {self.blas_limiter}, "
             f"BLAS threads {self.blas_threads or 'unknown'}",
@@ -810,7 +817,7 @@ class _GradCheck:
         x_in = acts[node.inputs[0]]
         var = self.ex.params[f"{node_id}.var"] if kind == "bn.var" else None
         gap_budget = 0.5 * self.tolerance
-        checked = skipped = nonfinite = 0
+        checked = skipped = skipped_var = nonfinite = 0
         pos = 0
         max_rel = 0.0
         # sample at least `want` coordinates; hunt past that for kink-free
@@ -838,7 +845,7 @@ class _GradCheck:
                 if checked >= want:
                     break
                 if not ok:
-                    skipped += 1
+                    skipped_var += 1
                     continue
                 idx, fd_val, kink_bound = next(results)
                 a_val = float(analytic[idx])
@@ -860,9 +867,10 @@ class _GradCheck:
             size=size,
             # every coordinate examined was compared or skipped; the look-ahead
             # left over in the last chunk is not counted
-            sampled=checked + skipped,
+            sampled=checked + skipped + skipped_var,
             checked=checked,
             skipped_kinks=skipped,
+            skipped_var=skipped_var,
             max_rel_err=max_rel,
             nonfinite=nonfinite,
         )

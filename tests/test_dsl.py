@@ -104,7 +104,7 @@ def test_table_encodings_round_trip():
         assert parse_structure(format_structure(seq)) == seq
 
 
-def test_equality_ignores_source_text():
+def test_ascii_and_arrow_spellings_parse_equal():
     assert parse_structure("1v2") == parse_structure("1↘2")
 
 

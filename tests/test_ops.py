@@ -541,7 +541,8 @@ def _central_diff(f, arr, idx, eps=1e-4):
 
 @pytest.mark.parametrize(
     "name",
-    ["conv_x", "conv_w", "bn", "upsample", "chpool", "concat", "add", "relu"],
+    ["conv_x", "conv_w", "conv_x_s2", "conv_w_s2", "bn", "upsample", "upsample_1px", "chpool", "concat",
+     "add", "relu"],
 )
 def test_primitive_gradients_match_central_differences(name):
     rng = _rng(11)
@@ -556,42 +557,50 @@ def test_primitive_gradients_match_central_differences(name):
     def chpool_vjp(a, dy):  # pooling over [x, x]: both halves route to x
         cat = concat_fwd([a[0], a[0]])
         da, db = concat_vjp([a[0], a[0]], channel_pool2_vjp(cat, dy))
-        return da + db
+        return (da + db,)
 
-    # arrays, index of the differentiated array, forward, its VJP w.r.t.
-    # that array, and the projection that makes the loss scalar
-    arrays, target, fwd, vjp, loss_w = {
-        "conv_x": ([x, w], 0, lambda a: conv2d_fwd(a[0], a[1]),
-                   lambda a, dy: conv2d_vjp(a[0], a[1], 1, None, dy)[0], weight),
-        "conv_w": ([x, w], 1, lambda a: conv2d_fwd(a[0], a[1]),
-                   lambda a, dy: conv2d_vjp(a[0], a[1], 1, None, dy)[1], weight),
-        "bn": ([x, gamma, beta, mean, var], 4, lambda a: batchnorm_fwd(*a),
-               lambda a, dy: batchnorm_vjp(*a, dy)[4], weight[:, :3]),
-        "upsample": ([x], 0, lambda a: bilinear_up2_fwd(a[0]),
-                     lambda a, dy: bilinear_up2_vjp(a[0], dy), np.ones((2, 3, 12, 12))),
-        "chpool": ([x], 0, lambda a: channel_pool2_fwd(concat_fwd([a[0], a[0]])),
+    # arrays, indices of the differentiated arrays, forward, its VJPs
+    # w.r.t. those arrays, and the projection that makes the loss scalar
+    arrays, targets, fwd, vjp, loss_w = {
+        "conv_x": ([x, w], [0], lambda a: conv2d_fwd(a[0], a[1]),
+                   lambda a, dy: conv2d_vjp(a[0], a[1], 1, None, dy)[:1], weight),
+        "conv_w": ([x, w], [1], lambda a: conv2d_fwd(a[0], a[1]),
+                   lambda a, dy: conv2d_vjp(a[0], a[1], 1, None, dy)[1:], weight),
+        "conv_x_s2": ([x, w], [0], lambda a: conv2d_fwd(a[0], a[1], 2),
+                      lambda a, dy: conv2d_vjp(a[0], a[1], 2, None, dy)[:1], weight[:, :, :3, :3]),
+        "conv_w_s2": ([x, w], [1], lambda a: conv2d_fwd(a[0], a[1], 2),
+                      lambda a, dy: conv2d_vjp(a[0], a[1], 2, None, dy)[1:], weight[:, :, :3, :3]),
+        "bn": ([x, gamma, beta, mean, var], [0, 1, 2, 3, 4], lambda a: batchnorm_fwd(*a),
+               lambda a, dy: batchnorm_vjp(*a, dy), weight[:, :3]),
+        "upsample": ([x], [0], lambda a: bilinear_up2_fwd(a[0]),
+                     lambda a, dy: (bilinear_up2_vjp(a[0], dy),), rng.normal(size=(2, 3, 12, 12))),
+        "upsample_1px": ([x[:, :, :1]], [0], lambda a: bilinear_up2_fwd(a[0]),
+                         lambda a, dy: (bilinear_up2_vjp(a[0], dy),), rng.normal(size=(2, 3, 2, 12))),
+        "chpool": ([x], [0], lambda a: channel_pool2_fwd(concat_fwd([a[0], a[0]])),
                    chpool_vjp, weight[:, :3]),
-        "concat": ([x, x2], 1, concat_fwd,
-                   lambda a, dy: concat_vjp(a, dy)[1], np.ones((2, 6, 6, 6))),
-        "add": ([x, x2], 0, lambda a: add_fwd(a[0], a[1]), lambda a, dy: dy, weight[:, :3]),
-        "relu": ([x], 0, lambda a: relu_fwd(a[0]),
-                 lambda a, dy: relu_vjp(a[0], dy), weight[:, :3]),
+        "concat": ([x, x2], [1], concat_fwd,
+                   lambda a, dy: concat_vjp(a, dy)[1:], rng.normal(size=(2, 6, 6, 6))),
+        "add": ([x, x2], [0], lambda a: add_fwd(a[0], a[1]), lambda a, dy: (dy,), weight[:, :3]),
+        "relu": ([x], [0], lambda a: relu_fwd(a[0]),
+                 lambda a, dy: (relu_vjp(a[0], dy),), weight[:, :3]),
     }[name]
-    analytic = vjp(arrays, loss_w)
-    assert analytic.shape == arrays[target].shape
+    grads = vjp(arrays, loss_w)
+    assert len(grads) == len(targets)
+    for target, analytic in zip(targets, grads):
+        assert analytic.shape == arrays[target].shape
 
-    def loss(perturbed):
-        arrs = list(arrays)
-        arrs[target] = perturbed
-        return float(np.sum(fwd(arrs) * loss_w))
+        def loss(perturbed):
+            arrs = list(arrays)
+            arrs[target] = perturbed
+            return float(np.sum(fwd(arrs) * loss_w))
 
-    rng2 = np.random.default_rng(13)
-    size = arrays[target].size
-    for idx in rng2.choice(size, size=min(12, size), replace=False):
-        fd = _central_diff(loss, arrays[target], idx)
-        a = analytic.flat[idx]
-        rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
-        assert rel < 1e-5, f"{name}[{idx}]: analytic {a} vs fd {fd}"
+        rng2 = np.random.default_rng(13)
+        size = arrays[target].size
+        for idx in rng2.choice(size, size=min(12, size), replace=False):
+            fd = _central_diff(loss, arrays[target], idx)
+            a = analytic.flat[idx]
+            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
+            assert rel < 1e-5, f"{name}[{target}][{idx}]: analytic {a} vs fd {fd}"
 
 
 # ---------------------------------------------------------------------------

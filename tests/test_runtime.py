@@ -409,8 +409,26 @@ def test_every_preset_runs_finite_forward_and_backward():
         store = init_weights(g, 11).astype(np.float64)
         out, acts = run_forward(g, store, x, keep_activations=True)
         assert [nid for nid, a in acts.items() if not np.isfinite(a).all()] == [], name
-        grads, _input_grad, _ = run_backward(g, store, acts, np.full(out.shape, 1.0 / out.size))
+        grads, input_grad, _ = run_backward(g, store, acts, np.full(out.shape, 1.0 / out.size))
         assert all(np.isfinite(v).all() for v in grads.values()), name
+        assert np.isfinite(input_grad).all() and input_grad.any(), name
+
+
+def test_input_gradient_matches_central_differences():
+    shape = presets.MICRO_INPUT_SHAPE
+    g = infer_shapes(presets.build_micro(), shape)
+    store = init_weights(g, 7).astype(np.float64)
+    x = verification_input(shape, 7).data.astype(np.float64)
+    out, acts = run_forward(g, store, x, keep_activations=True)
+    _, input_grad, _ = run_backward(g, store, acts, np.full(out.shape, 1.0 / out.size))
+    assert input_grad.shape == x.shape
+    eps = 1e-4
+    for idx in [(0, 0, 10, 10), (0, 1, 5, 37), (0, 2, 63, 0)]:
+        plus, minus = x.copy(), x.copy()
+        plus[idx] += eps
+        minus[idx] -= eps
+        fd = (run_forward(g, store, plus)[0] - run_forward(g, store, minus)[0]).mean() / (2 * eps)
+        assert abs(input_grad[idx] - fd) < 1e-5 * max(abs(fd), 1e-8), (idx, input_grad[idx], fd)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +537,7 @@ def test_var_positivity_skips_stop_with_the_check():
     store.arrays[name] = np.where(np.random.default_rng(1).random(64) < 0.4, 5e-5, 1.0).astype(np.float32)
     check = runtime._GradCheck(g, store, verification_input(presets.MICRO_INPUT_SHAPE, 7), 1e-4, 1e-5, 20, 1)
     got = check.check(next(e for e in check.entries if e[0] == name))
-    assert (got.sampled, got.checked, got.skipped_kinks, got.nonfinite) == (26, 20, 6, 0)
+    assert (got.sampled, got.checked, got.skipped_kinks, got.skipped_var, got.nonfinite) == (26, 20, 0, 6, 0)
 
 
 @needs_limiter
@@ -621,7 +639,9 @@ def test_gradcheck_report_fields(monkeypatch):
     assert all(p["nonfinite"] == 0 for p in doc["params"])
     assert doc["unchecked"] == rep.unchecked == [p.name for p in rep.params if p.checked == 0]
     # sampled counts the coordinates examined, each compared or skipped
-    assert all(p.sampled == p.checked + p.skipped_kinks for p in rep.params)
+    assert all(p.sampled == p.checked + p.skipped_kinks + p.skipped_var for p in rep.params)
+    assert doc["skipped_kinks"] == rep.total_skipped and doc["skipped_var"] == rep.total_skipped_var
+    assert all(p["skipped_var"] == 0 for p in doc["params"])  # init_weights sets every var to 1
     assert "stem.conv1.conv.w" in rep.unchecked  # every interval drawn straddles a kink
     text = rep.to_text()
     assert "PASS" in text or "FAIL" in text

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import analysis, dsl, ops, presets, runtime
 from .graph import (
+    GraphTooLarge,
     IndivisibleInput,
     InvalidSequence,
     NetworkConfig,
@@ -63,20 +64,17 @@ def _parse_convention(text: str) -> analysis.CostConvention | None:
     if text == "auto":
         return None
     kw = {}
-    flags = {"on": True, "off": False, "1": True, "0": False, "true": True, "false": False}
+    flags = {"on": True, "off": False}
+    fields = {"bn": "include_bn", "relu": "include_relu", "up": "include_upsample", "head": "include_head"}
     for item in text.split(","):
         key, _, val = item.partition("=")
         key, val = key.strip(), val.strip().lower()
         try:
             if key == "mac":
                 kw["mac_factor"] = {"1": 1, "2": 2}[val]
-            elif key in ("bn", "relu"):
-                kw[f"include_{key}"] = flags[val]
-            elif key in ("up", "upsample"):
-                kw["include_upsample"] = flags[val]
-            elif key == "head":
-                kw["include_head"] = flags[val]
-            elif key in ("cls", "classifier"):
+            elif key in fields:
+                kw[fields[key]] = flags[val]
+            elif key == "cls":
                 if not val.isdigit():
                     raise ValueError(val)
                 kw["classifier_classes"] = int(val)
@@ -358,7 +356,7 @@ def main(argv=None) -> int:
         if exc.position is not None and hasattr(args, "code"):
             sys.stderr.write(f"  {args.code}\n  {' ' * exc.position}^\n")
         return EXIT_USAGE
-    except (UnknownPreset, InvalidSequence, WidthOverflow, runtime.InvalidCheckSettings) as exc:
+    except (UnknownPreset, InvalidSequence, WidthOverflow, GraphTooLarge, runtime.InvalidCheckSettings) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except runtime.WeightShapeMismatch as exc:

@@ -61,6 +61,10 @@ class IndivisibleInput(GraphError):
     pass
 
 
+class GraphTooLarge(GraphError):
+    pass
+
+
 @dataclass(slots=True)
 class Node:
     """One primitive layer.  ``inputs`` name producer nodes; ``role`` is the
@@ -133,6 +137,8 @@ NODE_ATTRS = {
     "upsample": {"factor": 2}, "chpool": {"k": 2, "mode": "avg"},
 }  # fmt: skip
 
+MAX_NODES = 2**18  # most nodes a built graph may hold; the largest preset has 1,106
+
 
 class _Builder:
     """Nodes in emission order; :func:`_check_graph` rejects duplicate ids."""
@@ -141,6 +147,8 @@ class _Builder:
         self.nodes: list[Node] = []
 
     def emit(self, nid: str, kind: str, inputs: tuple[str, ...], role: str, **attrs) -> str:
+        if len(self.nodes) >= MAX_NODES:
+            raise GraphTooLarge(f"the graph passes the cap of {MAX_NODES} nodes")
         self.nodes.append(Node(nid, kind, inputs, role, attrs))
         return nid
 

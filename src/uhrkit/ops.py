@@ -29,9 +29,8 @@ one-row bands than from one band.  The reference presets keep their
 bytes only because their narrow maps fit one band.  Each band's input
 rows, with the kernel's halo, are staged zero-padded into one band-sized
 buffer whose zero border is written once per call: no padded copy of the
-whole input exists (the VJP still pads the whole input).  The strided
-path stages every band, with ``pad=0`` as well, so its im2col always
-reads one staged band.
+whole input exists.  The strided path stages every band, with ``pad=0``
+as well, so its im2col always reads one staged band.
 
 Every forward primitive but the convolution takes an ``out=`` array.  The
 executor picks it by two rules: an elementwise primitive overwrites its
@@ -216,34 +215,20 @@ def _spans(total: int, parts: int) -> list[tuple[int, int]]:
     return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
 
 
-def _pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """``x`` zero-padded by ``pad`` on both spatial axes."""
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-
-
 def _band_rows(row_bytes: int, halo: int, rows: int) -> int:
     """Output rows per band: as many as keep ``(band + halo) * row_bytes``
     within ``BAND_BYTES``, at least one and at most ``rows``."""
     return max(1, min(rows, BAND_BYTES // max(row_bytes, 1) - halo))
 
 
-def _im2col(
-    xp: np.ndarray, k: int, stride: int, wo: int, rows: int, buf: np.ndarray | None = None
-) -> np.ndarray:
+def _im2col(xp: np.ndarray, k: int, stride: int, wo: int, rows: int, buf: np.ndarray) -> np.ndarray:
     """Columns for the first ``rows`` output rows of a conv over the padded
-    input ``xp``, shaped (N, C*k*k, rows*wo), entries ordered (c, ki, kj);
-    written into ``buf`` (N, C*k*k, at least rows*wo) when given.
-
-    1x1 stride-1 convolutions reshape in place unless ``buf`` is given;
-    other kernels copy each kernel offset's strided patch straight into
-    its slot of the column buffer, which is far cheaper than a transposed
-    fancy-index gather.
+    input ``xp``, shaped (N, C*k*k, rows*wo), entries ordered (c, ki, kj),
+    written into ``buf`` (N, C*k*k, at least rows*wo): each kernel offset's
+    strided patch is copied straight into its slot, which is far cheaper
+    than a transposed fancy-index gather.
     """
     n, c = xp.shape[:2]
-    if k == 1 and stride == 1 and buf is None:
-        return xp[:, :, :rows].reshape(n, c, rows * xp.shape[3])
-    if buf is None:
-        buf = np.empty((n, c * k * k, rows * wo), dtype=xp.dtype)
     cols = buf[:, :, : rows * wo].reshape(n, c, k * k, rows, wo)
     for ki in range(k):
         for kj in range(k):
@@ -375,7 +360,7 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
     groups = _spans(cout, parts)
     if kh == 1 and stride == 1 and not pad:
         # one GEMM over the whole map, cut into output-channel parts when large
-        xf = _im2col(x, 1, 1, wo, ho)
+        xf = x.reshape(n, cin, ho * wo)
         _deal([functools.partial(np.matmul, wm[c0:c1], xf, out=yf[:, c0:c1]) for c0, c1 in groups], lanes)
         return y
     ins = _spans(cin, parts)
@@ -399,29 +384,34 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
 def conv2d_vjp(
     x: np.ndarray, w: np.ndarray, stride: int, pad: int | None, dy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of conv2d w.r.t. input and weight."""
+    """Gradients of conv2d w.r.t. input and weight.  ``dw`` multiplies ``dy``
+    by the input's columns, gathered as the forward gathers them, in one
+    band.  At stride 1 with ``pad < k``, ``dx`` is the transposed
+    convolution: the forward of ``dy`` with the kernel flipped, its channel
+    axes swapped and padding ``k - 1 - pad``.  Strided convs (and
+    ``pad >= k``, only in imported graphs) scatter the columns' gradient."""
     n, cin, h, wd = x.shape
-    cout, _, kh, kw = w.shape
+    cout, _, k, _ = w.shape
     if pad is None:
-        pad = kh // 2
+        pad = k // 2
     ho, wo = dy.shape[2], dy.shape[3]
-    cols = _im2col(_pad(x, pad), kh, stride, wo, ho)  # (n, cin*k*k, ho*wo)
     dy_mat = dy.reshape(n, cout, ho * wo)
-
+    if k == 1 and stride == 1 and not pad:
+        cols = x.reshape(n, cin, ho * wo)
+    else:
+        cols = np.empty((n, cin * k * k, ho * wo), dtype=x.dtype)
+        _gather(x, _band_buffers(x, stride * (ho - 1) + k, pad, 1)[0], cols, 0, ho, wo, k, stride, pad)
     dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    del cols  # freed before the input gradient allocates
+    if stride == 1 and pad < k:
+        return conv2d_fwd(dy, np.flip(w, (2, 3)).transpose(1, 0, 2, 3), 1, k - 1 - pad), dw
 
-    dcols = np.matmul(w.reshape(cout, -1).T, dy_mat)  # (n, cin*k*k, ho*wo)
-    if kh == 1 and stride == 1 and pad == 0:
-        return dcols.reshape(x.shape), dw
-    dcols = dcols.reshape(n, cin, kh * kw, ho, wo)
+    dcols = np.matmul(w.reshape(cout, -1).T, dy_mat).reshape(n, cin, k * k, ho, wo)
     dxp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            dxp[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += dcols[
-                :, :, ki * kw + kj
-            ]
-    dx = dxp[:, :, pad : pad + h, pad : pad + wd] if pad else dxp
-    return dx, dw
+    for ki in range(k):
+        for kj in range(k):
+            dxp[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += dcols[:, :, ki * k + kj]
+    return dxp[:, :, pad : pad + h, pad : pad + wd], dw
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uhrkit import analysis, cli, ops, presets, runtime
+from uhrkit import analysis, cli, graph, ops, presets, runtime
 from uhrkit.cli import main
 from uhrkit.graph import infer_shapes
 from uhrkit.ops import Tensor
@@ -373,6 +373,11 @@ def test_gradcheck_bad_settings_exit_2(capsys, setting):
         (["summarize", "--preset", "uhrnet-w18-small", "--convention", "mac=0"], 2),
         (["summarize", "--preset", "uhrnet-w18-small", "--convention", "mac=-1"], 2),
         (["summarize", "--preset", "uhrnet-w18-small", "--convention", "cls=-5"], 2),
+        (["summarize", "--preset", "uhrnet-w18-small", "--convention", "bn=true"], 2),
+        (["summarize", "--preset", "uhrnet-w18-small", "--convention", "bn=1"], 2),
+        (["summarize", "--preset", "uhrnet-w18-small", "--convention", "relu=false"], 2),
+        (["summarize", "--preset", "uhrnet-w18-small", "--convention", "upsample=on"], 2),
+        (["summarize", "--preset", "uhrnet-w18-small", "--convention", "classifier=19"], 2),
         (["forward", "--preset", "uhrnet-w18-small-va", "--weights", "{other}",
           "--input-file", "{x}", "--out-file", "{y}"], 4),
         (["forward", "--preset", "uhrnet-w18-small-va", "--weights", "{v1}",
@@ -384,7 +389,8 @@ def test_gradcheck_bad_settings_exit_2(capsys, setting):
         (["gradcheck", "--micro", "--seed", str(2**64)], 2),
     ],
     ids=["width-overflow", "width-0", "blocks-0", "bn-flag", "mac-int", "cls-int", "unit-name", "mac-0",
-         "mac-negative", "cls-negative", "weights-other-preset", "weights-other-shapes", "init-seed-negative",
+         "mac-negative", "cls-negative", "bn-true", "bn-1", "relu-false", "upsample-alias", "classifier-alias",
+         "weights-other-preset", "weights-other-shapes", "init-seed-negative",
          "init-seed-2^64", "forward-seed-negative", "gradcheck-seed-2^64"],
 )
 def test_bad_input_maps_to_exit_code(tmp_path, capsys, argv, code):
@@ -405,3 +411,75 @@ def test_bad_input_maps_to_exit_code(tmp_path, capsys, argv, code):
     assert got == code
     assert "error:" in err and "Traceback" not in err
     assert not files["y"].exists() and not files["w"].exists()
+
+
+def test_graph_over_the_node_cap_exits_2(capsys, monkeypatch):
+    argv = ["summarize", "--structure", "1v1v2v2v2^1^1^1^1", "--convention", "mac=1", "--json"]
+    monkeypatch.setattr(graph, "MAX_NODES", 1000)
+    assert run(capsys, *argv, "--blocks", "2")[0] == 0  # 468 nodes
+    code, out, err = run(capsys, *argv, "--blocks", "20")  # 3,294 nodes
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "1000 nodes" in err and "Traceback" not in err
+
+
+def _weight_file(entries: bytes, version: int = runtime.WEIGHTS_VERSION, magic: bytes = runtime.WEIGHTS_MAGIC) -> bytes:
+    """A weight file of one entry region, with a valid checksum."""
+    return magic + struct.pack("<IQI", version, 0, 1) + entries + struct.pack("<I", zlib.crc32(entries))
+
+
+_HEAD, _PAYLOAD = ops._encode_entry(np.zeros(2, np.float32))
+_ENTRY = _HEAD + _PAYLOAD.tobytes()
+_TENSOR_HEAD = ops.TENSOR_MAGIC + struct.pack("<I", ops.TENSOR_VERSION)
+
+
+@pytest.mark.parametrize(
+    "weights, tensor, message",
+    [
+        (b"HRWS" + bytes(10), None, "too short for a weight-store header"),
+        (_weight_file(b"", magic=b"WSRH"), None, "bad magic"),
+        (_weight_file(b"", version=2), None, "unsupported version 2"),
+        (_weight_file(struct.pack("<H", 2) + b"\xff\xfe" + _ENTRY), None, "corrupt entry name"),
+        (None, b"HRTF\x01", "too short for a tensor header"),
+        (None, ops.TENSOR_MAGIC + struct.pack("<I", 2) + _ENTRY, "unsupported version 2"),
+        (None, _TENSOR_HEAD + b"\x07" + _ENTRY[1:], "unknown dtype code 7"),
+        (None, _TENSOR_HEAD + b"\x00", "truncated entry header"),
+        (None, _TENSOR_HEAD + b"\x00\x04" + bytes(8), "truncated dimension list"),
+    ],
+    ids=["weights-short", "weights-magic", "weights-version", "weights-name", "tensor-short", "tensor-version",
+         "tensor-dtype", "tensor-entry-header", "tensor-dims"],
+)
+def test_malformed_file_exits_4(tmp_path, capsys, weights, tensor, message):
+    x, y = tmp_path / "x.hrtf", tmp_path / "y.hrtf"
+    argv = ["forward", "--preset", "uhrnet-w18-small-va", "--input-file", str(x), "--out-file", str(y)]
+    if weights is None:
+        x.write_bytes(tensor)
+    else:
+        ops.write_tensor(x, np.zeros((1, 3, 64, 64), dtype=np.float32))
+        (tmp_path / "w.hrws").write_bytes(weights)
+        argv += ["--weights", str(tmp_path / "w.hrws")]
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not y.exists()
+
+
+def test_gradcheck_text_report_fails_at_zero_tolerance(capsys):
+    code, out, _ = run(capsys, "gradcheck", "--micro", "--seed", "7", "--samples", "1", "--tol", "0")
+    assert code == 5
+    assert any(line.startswith("max relative error") and line.endswith("vs tolerance 0 -> FAIL") for line in out.splitlines())
+
+
+def test_init_json(tmp_path, capsys):
+    path = tmp_path / "w.hrws"
+    code, out, _ = run(capsys, "init", "--preset", "uhrnet-w18-small-va", "--seed", "3", "--out", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    store = load_weights(path)
+    assert doc == {"preset": "uhrnet-w18-small-va", "seed": 3, "entries": len(store.arrays),
+                   "values": sum(a.size for a in store.arrays.values()), "path": str(path)}  # fmt: skip
+
+
+def test_parse_notes_an_unbuildable_encoding(capsys):
+    code, out, _ = run(capsys, "parse", "1v1")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("note: not buildable as given: a one-branch final stage")

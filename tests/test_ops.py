@@ -252,11 +252,15 @@ def test_forward_conv_never_pads_the_whole_input(monkeypatch):
     want = [naive_conv2d(x, w, s) for s, w in cases]
 
     def no_pad(*args, **kwargs):
-        raise AssertionError("np.pad called by the forward conv")
+        raise AssertionError("np.pad called by the conv or its VJP")
 
     monkeypatch.setattr(np, "pad", no_pad)
     for (s, w), y in zip(cases, want):
         assert np.max(np.abs(ops.conv2d_fwd(x, w, s) - y)) < 1e-12
+        dy = _rng(24).normal(size=y.shape)
+        dx, dw = ops.conv2d_vjp(x, w, s, None, dy)
+        assert abs(np.sum(x * dx) - np.sum(y * dy)) < 1e-12 * np.sum(np.abs(y * dy))
+        assert abs(np.sum(w * dw) - np.sum(y * dy)) < 1e-12 * np.sum(np.abs(y * dy))
 
 
 def test_conv_shape_mismatch():
@@ -529,6 +533,22 @@ def test_backward_1x1_conv_weight_is_input_dot_grad():
     g = rng.normal(size=conv2d_fwd(x, w).shape)
     _, dw = conv2d_vjp(x, w, 1, None, g)
     assert np.allclose(dw.ravel()[0], np.sum(x * g))
+
+
+@pytest.mark.parametrize("k, stride, pad", [(k, s, p) for k in (1, 3) for s in (1, 2) for p in sorted({0, k // 2, k - 1, k})])
+def test_conv_vjp_is_the_adjoint_of_the_forward(k, stride, pad):
+    """``<conv(x, w), dy> == <x, dx> == <w, dw>`` in float64; ``pad == k``
+    takes the VJP's scatter path at stride 1 too."""
+    rng = _rng(31)
+    x = rng.normal(size=(2, 3, 7, 6))
+    w = rng.normal(size=(5, 3, k, k))
+    y = conv2d_fwd(x, w, stride, pad)
+    dy = rng.normal(size=y.shape)
+    dx, dw = conv2d_vjp(x, w, stride, pad, dy)
+    assert dx.shape == x.shape and dw.shape == w.shape
+    scale = np.sum(np.abs(y * dy))
+    assert abs(np.sum(x * dx) - np.sum(y * dy)) <= 1e-12 * scale
+    assert abs(np.sum(w * dw) - np.sum(y * dy)) <= 1e-12 * scale
 
 
 def _central_diff(f, arr, idx, eps=1e-4):

@@ -219,6 +219,7 @@ def cmd_forward(args) -> int:
     graph = infer_shapes(graph, tuple(x.shape))
     blas, threads, lanes = runtime._forward_lanes(runtime._conv_macs(graph))
     lanes = max(1, lanes)  # the calling thread alone when none open
+    arena = runtime._Exec(graph, store, x.dtype).arena * x.shape[0] * x.itemsize  # run_forward's plan
     start = time.perf_counter()
     out, _ = runtime.run_forward(graph, store, x)
     elapsed = time.perf_counter() - start
@@ -236,13 +237,14 @@ def cmd_forward(args) -> int:
             "blas_limiter": blas.name,
             "blas_threads": threads,
             "lanes": lanes,
+            "arena_bytes": arena,
         }
         print(json.dumps(doc))
     else:
         shape = "x".join(map(str, out.shape))
         print(
             f"forward ok: output {shape} {out.dtype} in {elapsed:.2f}s on {lanes} lane{'s' * (lanes > 1)} "
-            f"(BLAS limiter {blas.name}, threads {threads or 'unknown'}) -> {args.out_file}"
+            f"(BLAS limiter {blas.name}, threads {threads or 'unknown'}), arena {arena / 2**20:.1f} MiB -> {args.out_file}"
         )
     return EXIT_OK
 

@@ -625,27 +625,44 @@ def resolution_level(out_h: int, input_h: int) -> int:
 
 
 def export_graph(graph: LayerGraph) -> str:
-    """Self-describing JSON with stable ordering; requires inferred shapes."""
+    """Self-describing JSON with stable ordering; requires inferred shapes.
+
+    The text is ``json.dumps(doc, sort_keys=True, indent=1)`` of the fixed
+    schema, written directly, since with ``indent`` the standard library
+    takes its slow pure-Python encoder: each leaf is C-encoded and laid
+    out as ``indent=1`` lays it out.  Only the small ``meta`` is dumped."""
     for node in graph.nodes:
         if node.out_shape is None:
             raise GraphError("export requires inferred shapes; call infer_shapes first")
-    doc = {
-        "format_version": GRAPH_FORMAT_VERSION,
-        "output_id": graph.output_id,
-        "meta": graph.meta,
-        "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind,
-                "attrs": n.attrs,
-                "inputs": list(n.inputs),
-                "role": n.role,
-                "out_shape": list(n.out_shape),
-            }
-            for n in graph.nodes
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=1)
+    p = "\n   "  # a node's keys; their items one space deeper
+    nodes = ",\n  ".join(
+        f'{{{p}"attrs": {_block([f"{_str(k)}: {_leaf(v)}" for k, v in sorted(n.attrs.items())], p, "{}")},'
+        f'{p}"id": {_str(n.id)},{p}"inputs": {_block([*map(_str, n.inputs)], p, "[]")},'
+        f'{p}"kind": {_str(n.kind)},{p}"out_shape": {_block([*map(_leaf, n.out_shape)], p, "[]")},'
+        f'{p}"role": {_str(n.role)}\n  }}'
+        for n in graph.nodes
+    )
+    # JSON strings hold no raw line break, so this indents every line of meta
+    meta = json.dumps(graph.meta, sort_keys=True, indent=1).replace("\n", "\n ")
+    return (
+        f'{{\n "format_version": {GRAPH_FORMAT_VERSION},\n "meta": {meta},\n "nodes": [\n  {nodes}\n ],'
+        f'\n "output_id": {_str(graph.output_id)}\n}}'
+    )
+
+
+_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses for str
+
+
+def _leaf(v) -> str:
+    """A scalar as ``json.dumps`` writes it."""
+    return _str(v) if type(v) is str else repr(v) if type(v) is int else json.dumps(v)
+
+
+def _block(items: list[str], pad: str, brackets: str) -> str:
+    """Encoded ``items`` in ``brackets`` as ``indent=1`` lays them out, one
+    a line, one space deeper than ``pad``, the line break and indent of the
+    enclosing key."""
+    return f"{brackets[0]}{pad} {(',' + pad + ' ').join(items)}{pad}{brackets[1]}" if items else brackets
 
 
 def import_graph(text: str) -> LayerGraph:

@@ -32,13 +32,17 @@ buffer whose zero border is written once per call: no padded copy of the
 whole input exists.  The strided path stages every band, with ``pad=0``
 as well, so its im2col always reads one staged band.
 
-Every forward primitive but the convolution takes an ``out=`` array.  The
-executor picks it by two rules: an elementwise primitive overwrites its
-first input once no other read of it is left (so a batchnorm that alone
-reads a conv's output normalizes it in place), and an upsampling or channel
-pool writes into its channel slice of its concat's output, which saves a
-second copy.  This module owns the arithmetic of every primitive; the
-executor only chooses where results go.  The upsampling gathers with
+Every forward primitive takes an ``out=`` array, and a forward passes one
+for every node: an elementwise primitive overwrites its first input once
+no other read of it is left (so a batchnorm that alone reads a conv's
+output normalizes it in place), and every other output goes into its slot
+of the forward's arena (see :func:`~uhrkit.runtime.run_forward`).  A
+call's temporaries (``_temp``: the convolution's band buffers, the
+upsampling's blocks) are carved from the bytes the executor lends it
+(``_lend``), the stretch of the arena that no live output holds during
+that node, and allocated only where nothing is lent or they do not fit.
+This module owns the arithmetic of every primitive; the executor only
+chooses where results and temporaries go.  The upsampling gathers with
 ``np.take`` and works in place, through blocks of channels whose
 temporaries stay cache-sized (``UP2_BLOCK_BYTES``, 2 MiB of output per
 block): no full-map upsample temporary exists either.
@@ -78,8 +82,8 @@ two BLAS threads than at one).  Inside the lanes, work below the cutoffs
 runs on the calling thread alone, since waking a lane costs about 0.1 ms
 inside a pass; the cutoffs come from whole passes, split against whole,
 and one serves every kernel.  Lanes allocate nothing: the calling
-thread allocates the shared product, accumulator and columns and each
-lane's staging and upsample buffers (``_per_lane``) and hands out views.
+thread takes the shared product, accumulator and columns and each lane's
+staging and upsample buffers (``_temp``, ``_per_lane``) and hands out views.
 A lane calls only numpy and this module's private helpers, never a
 public function.
 
@@ -236,10 +240,41 @@ def _im2col(xp: np.ndarray, k: int, stride: int, wo: int, rows: int, buf: np.nda
     return cols.reshape(n, c * k * k, rows * wo)
 
 
+# The bytes a primitive's temporaries are carved from, lent by the executor
+# for one call (``_lend``), and how many of them are taken; None elsewhere.
+_WORK: ContextVar[list | None] = ContextVar("uhrkit_work", default=None)
+
+
+@contextlib.contextmanager
+def _lend(work: np.ndarray):
+    """The uint8 array ``work`` as the temporaries of the primitive called
+    inside: ``_temp`` carves them from it, from its first 64-byte boundary,
+    while it lasts."""
+    token = _WORK.set([work[-work.ctypes.data % 64 :], 0])
+    try:
+        yield
+    finally:
+        _WORK.reset(token)
+
+
+def _temp(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised temporary, carved at a 64-byte step from the lent
+    bytes when it fits in what is left of them, else allocated."""
+    lent = _WORK.get()
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if lent is not None:
+        work, used = lent
+        start = -(-used // 64) * 64
+        if start + nbytes <= len(work):
+            lent[1] = start + nbytes
+            return work[start : start + nbytes].view(dtype).reshape(shape)
+    return np.empty(shape, dtype=dtype)
+
+
 def _per_lane(lanes: int, shape: tuple[int, ...], dtype) -> list[np.ndarray]:
-    """One uninitialised ``shape`` buffer per lane, allocated here by the
-    calling thread."""
-    return [np.empty(shape, dtype=dtype) for _ in range(lanes)]
+    """One uninitialised ``shape`` buffer per lane, taken here by the
+    calling thread (``_temp``)."""
+    return [_temp(shape, dtype) for _ in range(lanes)]
 
 
 def _band_buffers(x: np.ndarray, rows: int, pad: int, lanes: int) -> list[np.ndarray]:
@@ -315,9 +350,9 @@ def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, y: np.ndarray, part
     w3 = w.reshape(cout, c, k * k).transpose(2, 0, 1)  # (offset, out channel, in channel)
     step = _band_rows(n * k * k * cout * wp * x.itemsize, k - 1, ho)
     bands = [(r0, min(step, ho - r0)) for r0 in range(0, ho, step)]
-    acc = np.empty((n, cout, step * wp), dtype=x.dtype)
+    acc = _temp((n, cout, step * wp), x.dtype)
     xbs = _band_buffers(x, step + k - 1, pad, lanes)
-    prod = np.empty((n, k * k * cout, (step + k - 1) * wp), dtype=x.dtype)
+    prod = _temp((n, k * k * cout, (step + k - 1) * wp), x.dtype)
     jobs = [
         functools.partial(_shift_bands, x, np.ascontiguousarray(w3[:, c0:c1]).reshape(-1, c), xbs[i % lanes],
                           prod[:, k * k * c0 : k * k * c1], acc[:, c0:c1], y[:, c0:c1], bands, pad, k)
@@ -335,11 +370,16 @@ def _gather(x, xb, buf, r0, rows, wo, k, stride, pad) -> np.ndarray:
     return _im2col(band, k, stride, wo, rows, buf)
 
 
-def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = None) -> np.ndarray:
+def conv2d_fwd(
+    x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Direct 2-D convolution, cross-correlation convention, no bias.
 
     ``x`` is (N, C, H, W), ``w`` is (outC, inC, kh, kw) with square kernels.
-    Output spatial size is ``(H + 2*pad - k) // stride + 1``.
+    Output spatial size is ``(H + 2*pad - k) // stride + 1``.  The result is
+    written into ``out`` when given, a C-contiguous array of that shape
+    that shares no memory with ``x``; the band temporaries come through
+    ``_temp``.
     """
     n, cin, h, wd = x.shape
     cout, cin_w, kh, kw = w.shape
@@ -351,7 +391,12 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
         pad = kh // 2
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
-    y = np.empty((n, cout, ho, wo), dtype=x.dtype)
+    if out is None:
+        y = np.empty((n, cout, ho, wo), dtype=x.dtype)
+    elif out.shape != (n, cout, ho, wo) or not out.flags.c_contiguous:
+        raise ShapeMismatch(f"conv output of shape {(n, cout, ho, wo)} does not fit a given out of shape {out.shape}")
+    else:
+        y = out
     parts, lanes = _split(n * cout * ho * wo * cin * kh * kw, SPLIT_MACS)
     if stride == 1 and kh > 1:
         return _conv_shift_gemm(x, w, pad, y, parts, lanes)
@@ -367,7 +412,7 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int | None = 
     # per output row, the columns or (for a 1x1 conv) the staged input rows
     step = _band_rows(n * cin * max(kh * kw * wo, stride * (wd + 2 * pad)) * x.itemsize, 0, ho)
     xb = _band_buffers(x, stride * (step - 1) + kh, pad, 1)[0]
-    buf = np.empty((n, cin * kh * kw, step * wo), dtype=x.dtype)
+    buf = _temp((n, cin * kh * kw, step * wo), x.dtype)
     kk = kh * kw
     for r0 in range(0, ho, step):
         rows = min(step, ho - r0)
@@ -616,9 +661,7 @@ def channel_pool2_vjp(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def concat_fwd(xs: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    """Channel concat, written into ``out`` when given.  An input that
-    already lies in ``out`` (placed in its channel slice by its producer)
-    is not copied again."""
+    """Channel concat, written into ``out`` when given."""
     base = xs[0].shape
     for x in xs[1:]:
         if x.shape[0] != base[0] or x.shape[2:] != base[2:]:
@@ -629,8 +672,7 @@ def concat_fwd(xs: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarra
         raise ShapeMismatch(f"channel concat of {len(xs)} inputs does not fit an output of shape {out.shape}")
     off = 0
     for x in xs:
-        if not np.may_share_memory(x, out):
-            out[:, off : off + x.shape[1]] = x
+        out[:, off : off + x.shape[1]] = x
         off += x.shape[1]
     return out
 

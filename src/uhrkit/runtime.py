@@ -56,17 +56,19 @@ process-wide count: holds take turns on one lock.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import ctypes
 import functools
 import math
+import mmap
 import os
 import struct
 import threading
 import time
 import warnings
 import zlib
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -252,8 +254,8 @@ def load_weights(path) -> WeightStore:
 
 class _Exec:
     """A shaped graph's executor, built once per graph: its dtype-cast
-    parameters, the node after which the walk drops each buffer, and the
-    producers that write straight into their concat's output."""
+    parameters, the node after which the walk drops each buffer, the
+    elementwise nodes that overwrite their input, and the arena plan."""
 
     def __init__(self, graph: LayerGraph, store: WeightStore, dtype):
         self.graph = graph
@@ -265,23 +267,62 @@ class _Exec:
             if arr.shape != shape:
                 raise WeightShapeMismatch(f"weight {name} has shape {arr.shape}, node expects {shape}")
             self.params[name] = arr.astype(dtype, copy=False)
-        readers = Counter(src for node in graph.nodes for src in node.inputs)
         # buffer -> its last reader, after which the walk drops it; the graph's
         # input and output are never dropped, so they have no entry
         fixed = (graph.input_id, graph.output_id)
         self.last = {src: node.id for node in graph.nodes for src in node.inputs if src not in fixed}
-        # upsample/chpool -> (its concat, channel offset) when that concat is
-        # the sole consumer; the walk writes such a producer into its slice
-        # of the concat's output instead of copying it there afterwards
-        self.placed: dict[str, tuple[Node, int]] = {}
-        for node in graph.nodes:
-            if node.kind == "concat" and node.out_shape is not None:
-                off = 0
-                for src in node.inputs:
-                    prod = graph.node(src)
-                    if prod.kind in ("upsample", "chpool") and readers[src] == 1:
-                        self.placed[src] = (node, off)
-                    off += prod.out_shape[1]
+        # elementwise nodes that overwrite their first input: its last reader,
+        # reading it once
+        self.takes_over = {
+            n.id for n in graph.nodes
+            if n.kind in ("bn", "relu", "add") and self.last.get(n.inputs[0]) == n.id and n.inputs.count(n.inputs[0]) == 1
+        }  # fmt: skip
+        # The arena plan, in elements per sample: ``slots`` maps a node to the
+        # (offset, size) of its output, where a node that takes over its
+        # input shares that input's slot, and ``arena`` is the size.  A slot
+        # lives from its producer to its last reader (the output to the end);
+        # largest first, each takes the lowest offset that no slot alive at
+        # the same time covers (greedy by size).  ``gaps`` maps a node to the
+        # largest stretch that no slot holds during its step, lent to its
+        # primitive for temporaries.
+        self.slots: dict[str, tuple[int, int]] = {}
+        self.gaps: dict[str, tuple[int, int]] = {}
+        self.arena = 0
+        if not graph.shaped:
+            return
+        step = {node.id: i for i, node in enumerate(graph.nodes)}
+        home: dict[str, str] = {}  # node -> the node whose slot holds its output
+        span: dict[str, list[int]] = {}  # slot -> [first step, last step, size]
+        for i, node in enumerate(graph.nodes[1:], 1):
+            own = home[node.inputs[0]] if node.id in self.takes_over else node.id
+            home[node.id] = own
+            if own == node.id:
+                span[own] = [i, i, math.prod(node.out_shape[1:])]
+            span[own][1] = step[self.last[node.id]] if node.id in self.last else len(graph.nodes)
+        placed: list[tuple[int, int, int, int]] = []  # (offset, end, first step, last step)
+        offset: dict[str, int] = {}
+        for slot in sorted(span, key=lambda s: -span[s][2]):
+            first, final, size = span[slot]
+            off = 0
+            for lo, hi in sorted((lo, hi) for lo, hi, a, z in placed if a <= final and first <= z):
+                if lo - off >= size:
+                    break
+                off = max(off, hi)
+            placed.append((off, off + size, first, final))
+            offset[slot] = off
+            self.arena = max(self.arena, off + size)
+        self.slots = {nid: (offset[own], span[own][2]) for nid, own in home.items()}
+        live: list[tuple[int, int, int]] = []  # (offset, end, last step) of the slots alive, by offset
+        for i, node in enumerate(graph.nodes[1:], 1):
+            live = [v for v in live if v[2] >= i]
+            if node.id in span:
+                bisect.insort(live, (offset[node.id], sum(self.slots[node.id]), span[node.id][1]))
+            gap, top = (0, 0), 0
+            for lo, hi, _ in [*live, (self.arena, self.arena, i)]:
+                if lo - top > gap[1]:
+                    gap = (top, lo - top)
+                top = max(top, hi)
+            self.gaps[node.id] = gap
 
     def bn_params(self, nid: str) -> list[np.ndarray]:
         """Batchnorm ``nid``'s gamma, beta, mean and var, in the order
@@ -295,6 +336,7 @@ class _Exec:
         keep: bool = False,
         base: dict[str, np.ndarray] | None = None,
         kink_ctx: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
+        arena: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Execute ``nodes`` in order: the one executor behind both the
         forward pass and the gradient checker's replay.
@@ -304,17 +346,16 @@ class _Exec:
         from it is read from the read-only ``base`` activations, broadcast
         along the batch axis.  Unless ``keep`` is set, a buffer is dropped
         after its last reader in the graph, which in a replay descends from
-        the owner, and an elementwise node (batchnorm, ReLU, add) that is
-        its first input's last reader, and reads it once, overwrites it: a
-        batchnorm that alone reads its conv's output normalizes it in
-        place.  With ``keep`` every output stays in ``acts`` for the reverse
-        sweep.  The graph input and output are never overwritten or dropped.
+        the owner, and a node in ``takes_over`` overwrites its first input
+        when that lies in ``acts``: a batchnorm that alone reads its conv's
+        output normalizes it in place.  With ``keep`` every output stays in
+        ``acts`` for the reverse sweep.  The graph input and output are
+        never overwritten or dropped.
 
-        Also unless ``keep`` is set, an upsample or channel pool whose sole
-        consumer is a concat writes its output straight into its channel
-        slice of the concat's output (allocated when the first such
-        producer runs), and the concat copies in only its other inputs,
-        whether they come from ``acts`` or from ``base``.
+        ``arena``, given only to a whole forward without ``keep``, holds
+        every other output in its slot (``slots``, per sample, scaled by
+        the batch) and lends each primitive its node's gap (``gaps``) for
+        temporaries; without one, outputs and temporaries are allocated.
 
         Returns the graph output together with a per-lane bound on the loss
         error a finite difference suffers from ReLU state flips: for every
@@ -334,49 +375,43 @@ class _Exec:
             return a
 
         kink_err = np.zeros(b)
-        # concat id -> its output, allocated by the first placed producer
-        slots: dict[str, np.ndarray] = {}
-
-        def slot(node: Node, like: np.ndarray) -> np.ndarray | None:
-            """The producer's slice of its concat's output, or None when it
-            is not placed."""
-            plan = None if keep else self.placed.get(node.id)
-            if plan is None:
-                return None
-            cat, off = plan
-            if cat.id not in slots:
-                slots[cat.id] = np.empty((b, *cat.out_shape[1:]), dtype=like.dtype)
-            return slots[cat.id][:, off : off + node.out_shape[1]]
-
+        if arena is not None:
+            work, scale = arena.view(np.uint8), b * arena.itemsize  # its bytes; bytes per planned element
         for node in nodes:
             ins = [fetch(src) for src in node.inputs]
-            src0 = node.inputs[0]
-            own0 = not keep and src0 in acts and self.last.get(src0) == node.id and node.inputs.count(src0) == 1
-            reuse = ins[0] if own0 else None  # a buffer an elementwise node may overwrite
+            out, lend = None, contextlib.nullcontext()
+            if arena is not None:
+                off, size = self.slots[node.id]
+                out = arena[b * off : b * (off + size)].reshape(b, *node.out_shape[1:])
+                off, size = self.gaps[node.id]
+                lend = ops._lend(work[scale * off : scale * (off + size)])
+            if not keep and node.id in self.takes_over and node.inputs[0] in acts:
+                out = ins[0]
             kind = node.kind
-            if kind == "conv":
-                a = node.attrs
-                y = ops.conv2d_fwd(ins[0], self.params[f"{node.id}.w"], a["stride"], a["pad"])
-            elif kind == "bn":
-                y = ops.batchnorm_fwd(ins[0], *self.bn_params(node.id), out=reuse)
-            elif kind == "relu":
-                ctx = kink_ctx.get(node.id) if kink_ctx else None
-                if ctx is not None:
-                    base_mask, sens = ctx
-                    flipped = (ins[0] > 0) != base_mask
-                    if flipped.any():
-                        kink_err += np.abs(ins[0] * sens * flipped).sum(axis=(1, 2, 3))
-                y = ops.relu_fwd(ins[0], out=reuse)
-            elif kind == "upsample":
-                y = ops.bilinear_up2_fwd(ins[0], out=slot(node, ins[0]))
-            elif kind == "chpool":
-                y = ops.channel_pool2_fwd(ins[0], out=slot(node, ins[0]))
-            elif kind == "concat":
-                y = ops.concat_fwd(ins, out=slots.pop(node.id, None))
-            elif kind == "add":
-                y = ops.add_fwd(ins[0], ins[1], out=reuse)
-            else:
-                raise ValueError(f"cannot execute node kind {kind!r}")
+            with lend:
+                if kind == "conv":
+                    a = node.attrs
+                    y = ops.conv2d_fwd(ins[0], self.params[f"{node.id}.w"], a["stride"], a["pad"], out=out)
+                elif kind == "bn":
+                    y = ops.batchnorm_fwd(ins[0], *self.bn_params(node.id), out=out)
+                elif kind == "relu":
+                    ctx = kink_ctx.get(node.id) if kink_ctx else None
+                    if ctx is not None:
+                        base_mask, sens = ctx
+                        flipped = (ins[0] > 0) != base_mask
+                        if flipped.any():
+                            kink_err += np.abs(ins[0] * sens * flipped).sum(axis=(1, 2, 3))
+                    y = ops.relu_fwd(ins[0], out=out)
+                elif kind == "upsample":
+                    y = ops.bilinear_up2_fwd(ins[0], out=out)
+                elif kind == "chpool":
+                    y = ops.channel_pool2_fwd(ins[0], out=out)
+                elif kind == "concat":
+                    y = ops.concat_fwd(ins, out=out)
+                elif kind == "add":
+                    y = ops.add_fwd(ins[0], ins[1], out=out)
+                else:
+                    raise ValueError(f"cannot execute node kind {kind!r}")
             if node.out_shape is not None and y.shape != (b, *node.out_shape[1:]):
                 raise ShapeMismatch(f"node {node.id!r} produced {y.shape}, expected {node.out_shape}")
             if not keep:
@@ -402,8 +437,17 @@ def run_forward(
     node's output are always checked.
 
     With ``keep_activations`` every node's output is retained (needed for
-    the reverse sweep); otherwise buffers are reused and freed as soon as
-    their last consumer has run.
+    the reverse sweep).  Otherwise the call maps one private anonymous
+    arena of the size ``_Exec`` plans: every node output lives in its
+    planned slot, and each primitive's temporaries in the stretch of it
+    that no live slot holds during that node (``_Exec.gaps``).  Before the
+    mapping, the C heap's free pages go back to the system (glibc's
+    ``malloc_trim``), so the arena does not sit on top of memory the
+    process already freed.  The returned output is a view of the arena:
+    every page outside it goes back to the system (``madvise``) before the
+    call returns, and the mapping goes when the output is collected.
+    Where ``mmap.madvise`` is missing, the output keeps the whole arena
+    resident.
 
     A forward whose convolutions reach ``LANE_MACS`` multiply-accumulates
     runs on one lane per BLAS thread (see :mod:`uhrkit.ops`) under
@@ -423,6 +467,11 @@ def run_forward(
         raise ShapeMismatch(f"input shape {x.shape} does not match the graph's {want}")
     acts = {graph.input_id: x}
     ex = _Exec(graph, store, x.dtype)
+    arena = None
+    if not keep_activations:
+        _malloc_trim()(0)
+        buf = mmap.mmap(-1, max(ex.arena * x.shape[0] * x.itemsize, 1), flags=mmap.MAP_PRIVATE)
+        arena = np.frombuffer(buf, x.dtype, ex.arena * x.shape[0])
     macs = _conv_macs(graph)
     with contextlib.ExitStack() as stack:
         # decided under the lock, once any other thread's hold has restored
@@ -432,8 +481,28 @@ def run_forward(
             if lanes:
                 stack.enter_context(blas.hold())
         stack.enter_context(ops._open_lanes(lanes))
-        out, _ = ex.walk(graph.nodes[1:], acts, keep=keep_activations)
+        out, _ = ex.walk(graph.nodes[1:], acts, keep=keep_activations, arena=arena)
+    if arena is not None and hasattr(buf, "madvise"):
+        # the output's pages stay; the page-aligned rest goes, in two calls
+        lo = hi = 0
+        if np.may_share_memory(out, arena):
+            start = out.ctypes.data - arena.ctypes.data
+            lo, hi = start - start % mmap.PAGESIZE, start + out.nbytes
+        for a, z in ((0, lo), (hi + -hi % mmap.PAGESIZE, len(buf))):
+            if z > a:
+                buf.madvise(mmap.MADV_DONTNEED, a, z - a)
     return out, (acts if keep_activations else None)
+
+@functools.cache
+def _malloc_trim() -> Callable[[int], int]:
+    """glibc's ``malloc_trim``, or a no-op where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return lambda pad: 0
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
 
 # A forward opens lanes only when its graph's convolutions reach this many
 # multiply-accumulates: below it, two lanes ran slower than BLAS's own

@@ -285,6 +285,20 @@ def test_forward_json_reports_dtype_time_and_finiteness(tmp_path, capsys):
         assert f"on 1 lane (BLAS limiter {limiter}, threads 1)" in text
 
 
+def test_forward_reports_the_planned_arena(tmp_path, capsys):
+    # the bytes of the arena run_forward maps, from the same plan: per
+    # sample, scaled by the batch and the item size
+    g = infer_shapes(presets.build("uhrnet-w18-small-va"), (1, 3, 64, 64))
+    planned = runtime._Exec(g, runtime.init_weights(g, 0), np.float32).arena
+    for batch, dtype in ((1, np.float32), (2, np.float64)):
+        xfile, yfile = tmp_path / "x.hrtf", tmp_path / "y.hrtf"
+        ops.write_tensor(xfile, np.zeros((batch, 3, 64, 64), dtype))
+        argv = ["forward", "--preset", "uhrnet-w18-small-va", "--input-file", str(xfile), "--out-file", str(yfile)]
+        doc = json.loads(run(capsys, *argv, "--json")[1])
+        assert doc["arena_bytes"] == planned * batch * np.dtype(dtype).itemsize > 0
+        assert f"), arena {doc['arena_bytes'] / 2**20:.1f} MiB -> " in run(capsys, *argv)[1]
+
+
 def test_forward_missing_weights_exit_4(tmp_path, capsys):
     x = tmp_path / "x.hrtf"
     ops.write_tensor(x, Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))

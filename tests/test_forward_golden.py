@@ -1,15 +1,20 @@
-"""Forward bytes pinned against ``golden/forward_sha.json``.
+"""Forward bytes pinned against ``golden/forward_sha.json`` and
+``golden/forward_bn_sha.json``.
 
-The golden holds one SHA-256 per forward: micro and the paper's pair at
+The goldens hold one SHA-256 per forward: micro and the paper's pair at
 1x3x256x512, in float32 and float64, with ``init_weights(g, 1)`` and
 ``verification_input(shape, 3)``, BLAS held at one thread and no lanes.
-The bytes depend on the BLAS build, so the golden also holds the key it
+``init_weights`` makes every batchnorm the identity, whose shift is exactly
+0, so the second golden draws every batchnorm's gamma, beta, mean and var
+(``drawn_batchnorms``) over the same conv weights.
+
+The bytes depend on the BLAS build, so each golden also holds the key it
 was recorded under: the numpy version and the config string and core name
 of the OpenBLAS in numpy's wheel.  Where this machine's key differs, the
 test compares the float32 output with the float64 one instead and warns
 that bytes were not compared.
 
-A change that moves forward bytes on purpose re-records the golden:
+A change that moves forward bytes on purpose re-records the goldens:
 
     PYTHONPATH=src python tests/test_forward_golden.py
 """
@@ -27,6 +32,7 @@ from uhrkit import presets, runtime
 from uhrkit.graph import infer_shapes
 
 GOLDEN = Path(__file__).parent / "golden" / "forward_sha.json"
+GOLDEN_BN = Path(__file__).parent / "golden" / "forward_bn_sha.json"
 CASES = {
     "micro": (None, presets.MICRO_INPUT_SHAPE),
     "uhrnet-w18-small": ("uhrnet-w18-small", (1, 3, 256, 512)),
@@ -53,11 +59,25 @@ def blas_key() -> dict[str, str]:
     return key
 
 
-def forwards(case: str) -> dict[str, np.ndarray]:
-    """The case's outputs by dtype name, BLAS held at one thread."""
+def drawn_batchnorms(g, store: runtime.WeightStore) -> runtime.WeightStore:
+    """``store`` with every batchnorm parameter drawn from seed 11: gamma
+    about 1, beta and mean about 0, var positive."""
+    arrays = store.arrays.copy()
+    for name, _nid, kind, shape in runtime.param_entries(g):
+        if kind != "conv.w":
+            z = 0.25 * runtime._normals(11, name, shape[0])
+            arrays[name] = {"bn.gamma": 1 + z, "bn.var": np.exp(z)}.get(kind, z).astype(np.float32)
+    return runtime.WeightStore(store.seed, arrays)
+
+
+def forwards(case: str, drawn: bool = False) -> dict[str, np.ndarray]:
+    """The case's outputs by dtype name, BLAS held at one thread; with
+    ``drawn``, over drawn batchnorms."""
     preset, shape = CASES[case]
     g = infer_shapes(presets.build_micro() if preset is None else presets.build(preset), shape)
     store = runtime.init_weights(g, 1)
+    if drawn:
+        store = drawn_batchnorms(g, store)
     x = runtime.verification_input(shape, 3).data
     outs = {}
     with runtime._blas().hold():
@@ -71,10 +91,8 @@ def digests(outs: dict[str, np.ndarray]) -> dict[str, str]:
     return {name: hashlib.sha256(y.tobytes()).hexdigest() for name, y in outs.items()}
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_forward_bytes_match_the_golden(case):
-    golden = json.loads(GOLDEN.read_text())
-    outs = forwards(case)
+def compare(golden_path: Path, case: str, outs: dict[str, np.ndarray]) -> None:
+    golden = json.loads(golden_path.read_text())
     key = blas_key()
     if runtime._blas().name != "none" and key == golden["key"]:
         assert digests(outs) == golden["sha256"][case]
@@ -88,7 +106,18 @@ def test_forward_bytes_match_the_golden(case):
     )
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_forward_bytes_match_the_golden(case):
+    compare(GOLDEN, case, forwards(case))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_forward_bytes_over_drawn_batchnorms_match_the_golden(case):
+    compare(GOLDEN_BN, case, forwards(case, drawn=True))
+
+
 if __name__ == "__main__":
-    doc = {"key": blas_key(), "sha256": {case: digests(forwards(case)) for case in CASES}}
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {GOLDEN}")
+    for path, drawn in ((GOLDEN, False), (GOLDEN_BN, True)):
+        doc = {"key": blas_key(), "sha256": {case: digests(forwards(case, drawn)) for case in CASES}}
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"recorded {path}")

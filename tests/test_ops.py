@@ -380,7 +380,7 @@ def test_blocked_upsample_matches_one_block(dtype):
         # two channels' output per block: 5 channels split 2+2+1
         mp.setattr(ops, "UP2_BLOCK_BYTES", 2 * n * 4 * h * w * x.itemsize)
         assert bilinear_up2_fwd(x).tobytes() == want
-        # into a channel slice of a larger concat buffer, as a placed producer writes
+        # into a channel slice of a larger buffer
         buf = np.full((n, c + 4, 2 * h, 2 * w), np.nan, dtype=dtype)
         got = bilinear_up2_fwd(x, out=buf[:, 3 : 3 + c])
     assert np.shares_memory(got, buf)
@@ -472,13 +472,24 @@ def test_add_into_out_still_checks_shapes():
     assert a.tobytes() == before.tobytes()
 
 
-def test_concat_into_out_with_a_placed_input():
+@pytest.mark.parametrize("k, stride", [(3, 1), (1, 1), (3, 2), (1, 2)])
+def test_conv_into_out(k, stride):
+    x = _rng(16).normal(size=(2, 4, 9, 10))
+    w = _rng(17).normal(size=(5, 4, k, k))
+    want = conv2d_fwd(x, w, stride)
+    out = np.full(want.shape, np.nan)
+    assert conv2d_fwd(x, w, stride, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    for bad in (np.empty((2, 4, *want.shape[2:])), np.empty((2, 6, *want.shape[2:]))[:, :5]):
+        with pytest.raises(ShapeMismatch):
+            conv2d_fwd(x, w, stride, out=bad)
+
+
+def test_concat_into_out():
     a = _rng(5).normal(size=(2, 4, 2, 3))
     b = _rng(6).normal(size=(2, 5, 2, 3))
-    out = np.empty((2, 9, 2, 3))
-    placed = out[:, 4:]  # written by its producer before the concat runs
-    placed[...] = b
-    assert concat_fwd([a, placed], out=out) is out
+    out = np.full((2, 9, 2, 3), np.nan)
+    assert concat_fwd([a, b], out=out) is out
     assert out.tobytes() == np.concatenate([a, b], axis=1).tobytes()
     with pytest.raises(ShapeMismatch):
         concat_fwd([a, b], out=np.empty((2, 8, 2, 3)))

@@ -1,5 +1,6 @@
 import contextlib
 import inspect
+import math
 import os
 import struct
 import sys
@@ -198,8 +199,8 @@ def test_forward_micro_shape_and_determinism():
 @pytest.mark.parametrize("graph", ["micro", "tiny"])
 def test_forward_reuse_matches_kept_activations(graph, dtype):
     # unless activations are kept, the walk overwrites dead buffers and
-    # places producers into their concats; both must give the same bytes
-    # and leave the input alone
+    # writes every other output into its arena slot; both must give the
+    # same bytes and leave the input alone
     if graph == "micro":
         g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
     else:
@@ -277,10 +278,11 @@ def test_an_elementwise_node_overwrites_the_input_it_reads_last(monkeypatch, kin
     # without kept activations, a node writes over its first input exactly
     # when it is that buffer's last reader, reads it once, and the buffer is
     # not the graph's input or output; a batchnorm that alone reads its
-    # conv's output normalizes it in place
+    # conv's output normalizes it in place.  Any other such node writes into
+    # its arena slot, which shares no memory with what it reads
     prim = {"bn": "batchnorm_fwd", "relu": "relu_fwd", "add": "add_fwd"}[kind]
     fwd, calls = getattr(ops, prim), []
-    monkeypatch.setattr(ops, prim, lambda *a, out=None: calls.append((a[0], out)) or fwd(*a, out=out))
+    monkeypatch.setattr(ops, prim, lambda *a, out=None: calls.append((a, out)) or fwd(*a, out=out))
     for g in (infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE), tiny_graph()):
         store = init_weights(g, 42).astype(dtype)
         calls.clear()
@@ -289,13 +291,14 @@ def test_an_elementwise_node_overwrites_the_input_it_reads_last(monkeypatch, kin
         assert len(calls) == len(nodes)
         last = {src: n for n in g.nodes for src in n.inputs}
         owned = 0
-        for node, (x_in, out) in zip(nodes, calls):
+        for node, (args, out) in zip(nodes, calls):
             src = node.inputs[0]
             if last[src] is node and node.inputs.count(src) == 1 and src not in (g.input_id, g.output_id):
-                assert out is x_in, node.id
+                assert out is args[0], node.id
                 owned += 1
             else:
-                assert out is None, node.id
+                assert out is not None, node.id
+                assert not any(np.shares_memory(out, a) for a in args if isinstance(a, np.ndarray)), node.id
         assert owned  # every bn and relu of both graphs, and most adds
 
 
@@ -311,51 +314,80 @@ def test_a_node_that_reads_a_buffer_twice_does_not_overwrite_it(monkeypatch):
     g = infer_shapes(LayerGraph(nodes, "b"), (1, 3, 64, 64))
     store = init_weights(g, 6)
     x = verification_input(g.nodes[0].out_shape, 6).data
-    add, outs = ops.add_fwd, []
-    monkeypatch.setattr(ops, "add_fwd", lambda x, y, out=None: outs.append(out) or add(x, y, out=out))
+    add, calls = ops.add_fwd, []
+    monkeypatch.setattr(ops, "add_fwd", lambda x, y, out=None: calls.append((x, out)) or add(x, y, out=out))
     got, _ = run_forward(g, store, x)
-    assert outs == [None]
+    ((r, out),) = calls
+    assert out is not None and not np.shares_memory(out, r)  # its own arena slot
     assert got.tobytes() == run_forward(g, store, x, keep_activations=True)[0].tobytes()
 
 
-def test_micro_graph_places_producers_into_concats():
-    # upsamples and channel pools whose sole consumer is a concat are written
-    # straight into its output, so the reuse test above covers placement
-    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
-    ex = runtime._Exec(g, init_weights(g, 0), np.float32)
-    kinds = [g.node(src).kind for src in ex.placed]
-    assert (kinds.count("upsample"), kinds.count("chpool"), len(kinds)) == (4, 7, 11)
-    for src, (cat, off) in ex.placed.items():
-        assert [n.id for n in g.nodes if src in n.inputs] == [cat.id]
-        assert cat.kind == "concat"
-        assert off == sum(g.node(i).out_shape[1] for i in cat.inputs[: cat.inputs.index(src)])
-
-
-def test_replay_places_producer_while_concat_reads_base(monkeypatch):
-    # a replay that holds a placed producer but reads the concat's other
-    # inputs from the baseline activations gives the bytes of a kept walk
-    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
-    store = init_weights(g, 3).astype(np.float64)
-    ex = runtime._Exec(g, store, np.float64)
-    _, acts = run_forward(g, store, verification_input(g.nodes[0].out_shape, 3).data.astype(np.float64), True)
-    for src, (cat, _) in ex.placed.items():
-        owner = g.node(src).inputs[0]
-        sub = runtime._descendants(g, owner)
-        if any(i not in {n.id for n in sub} for i in cat.inputs):
-            break
+@pytest.mark.parametrize("name", ["micro", "uhrnet-w18-small", "hrnetv2-w18-small-v2"])
+def test_the_arena_is_the_walks_live_peak(name):
+    # the walk's buffers, simulated: a node output lives from its node to its
+    # last reader (the output to the end), and an elementwise node that is
+    # its first input's last reader, reading it once, takes over its bytes;
+    # the live buffers' slots never overlap, and the arena is their peak
+    if name == "micro":
+        g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
     else:
-        pytest.fail("no placed producer whose concat reads another input from base")
-    placed = []
-    pool, up = ops.channel_pool2_fwd, ops.bilinear_up2_fwd
-    monkeypatch.setattr(ops, "channel_pool2_fwd", lambda *a, out=None: placed.append(out is not None) or pool(*a, out=out))
-    monkeypatch.setattr(ops, "bilinear_up2_fwd", lambda x, out=None: placed.append(out is not None) or up(x, out=out))
-    lanes = np.repeat(acts[owner], 3, axis=0)
-    lanes += np.random.default_rng(0).normal(scale=1e-3, size=lanes.shape)
-    got, _ = ex.walk(sub, {owner: lanes.copy()}, base=acts)
-    assert any(placed)
-    want, _ = ex.walk(sub, {owner: lanes.copy()}, keep=True, base=acts)
-    assert got.shape[0] == 3
-    assert got.tobytes() == want.tobytes()
+        g = infer_shapes(presets.build(name), (1, 3, 256, 512))
+    ex = runtime._Exec(g, init_weights(g, 0), np.float32)
+    last = {src: n.id for n in g.nodes for src in n.inputs}
+    live, peak = {}, 0  # node -> bytes
+    for node in g.nodes[1:]:
+        src = node.inputs[0]
+        taken = node.kind in ("bn", "relu", "add") and last[src] == node.id and node.inputs.count(src) == 1
+        taken = taken and src not in (g.input_id, g.output_id)
+        live[node.id] = live.pop(src) if taken else 4 * math.prod(node.out_shape)
+        peak = max(peak, sum(live.values()))
+        spans = sorted((ex.slots[n][0], sum(ex.slots[n])) for n in live)
+        assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:])), node.id
+        assert 4 * ex.slots[node.id][1] == live[node.id]
+        lo, hi = ex.gaps[node.id][0], sum(ex.gaps[node.id])  # lent to the node's temporaries
+        assert all(end <= lo or hi <= start for start, end in spans), node.id
+        for src in node.inputs:
+            if last[src] == node.id and src != g.output_id:
+                live.pop(src, None)
+    assert 4 * ex.arena == peak
+
+
+def test_temporaries_are_carved_from_the_arena_only_without_kept_activations(monkeypatch):
+    # a forward lends each primitive its node's gap; a temporary that fits
+    # is a view of the lent bytes, and nothing is lent with kept activations
+    temp, carved = ops._temp, []
+
+    def watched(shape, dtype):
+        t = temp(shape, dtype)
+        lent = ops._WORK.get()
+        carved.append(lent is not None and np.shares_memory(t, lent[0]))
+        return t
+
+    monkeypatch.setattr(ops, "_temp", watched)
+    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
+    store = init_weights(g, 4)
+    x = verification_input(presets.MICRO_INPUT_SHAPE, 4).data
+    reused, _ = run_forward(g, store, x)
+    assert any(carved)
+    carved.clear()
+    kept, _ = run_forward(g, store, x, keep_activations=True)
+    assert carved and not any(carved)
+    assert reused.tobytes() == kept.tobytes()
+
+
+def test_a_forward_output_outlives_the_next_forward():
+    # the output is a view of its own arena, which the next forward does not
+    # reuse, and never of the input
+    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
+    store = init_weights(g, 4)
+    x1, x2 = (verification_input(presets.MICRO_INPUT_SHAPE, s).data for s in (1, 2))
+    out1, _ = run_forward(g, store, x1)
+    first = out1.tobytes()
+    out2, _ = run_forward(g, store, x2)
+    assert out1.tobytes() == first != out2.tobytes()
+    assert not np.shares_memory(out1, out2)
+    assert not np.shares_memory(out1, x1) and not np.shares_memory(out2, x2)
+    assert first == run_forward(g, store, x1, keep_activations=True)[0].tobytes()
 
 
 def test_forward_zero_convs_give_zero_output():

@@ -235,6 +235,7 @@ def cmd_forward(args) -> int:
             "elapsed_s": round(elapsed, 3),
             "finite": finite,
             "blas_limiter": blas.name,
+            "blas_core": blas.core,
             "blas_threads": threads,
             "lanes": lanes,
             "arena_bytes": arena,

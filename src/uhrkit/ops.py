@@ -13,12 +13,19 @@ The module also holds the one binary codec for a tensor entry,
 tensor files here and by weight files in :mod:`uhrkit.runtime`.
 
 Convolutions with a kernel larger than 1x1, or a stride, work through the
-output one band of rows at a time, and a band's temporary (the shift-GEMM
-product, or the strided path's im2col columns or staged input rows,
-whichever is larger) stays within ``BAND_BYTES`` (16 MiB) whatever the
-map size.  Full-map temporaries reached 305 MB at the 1x3x1024x2048 cost
-input, and allocating and faulting in those pages cost about a quarter
-of a forward pass's wall time.  Every output element is still the same
+output one band of rows at a time, whatever the map size.  ``BAND_BYTES``
+(16 MiB) sets a band's rows from one temporary: the shift-GEMM product
+over the band and its halo rows, or on the strided path the larger of
+the im2col columns and ``stride`` staged input rows per output row.  The
+other band temporaries are not budgeted: the shift-GEMM accumulator (about
+``1/k**2`` of the product), each lane's staged input rows, which outgrow
+the product where input channels exceed ``k*k`` times the output
+channels (26 MiB a lane for 256 -> 18 channels at 256x512), and the
+strided path's staged rows past ``stride`` per output row (``k - stride``
+a band, one for a 3x3 kernel at stride 2).  Full-map
+temporaries reached 305 MB at the 1x3x1024x2048 cost input, and
+allocating and faulting in those pages cost about a quarter of a forward
+pass's wall time.  Every output element is still the same
 dot product over input channels, with the kernel offsets added in the
 same order, but the band split is part of the output's bytes: OpenBLAS
 rounds a GEMM's last columns by the GEMM's width, so a batched GEMM of
@@ -60,20 +67,26 @@ split keeps every output byte for any lane count:
 
 * batchnorm, ReLU and add by channels, the upsampling by its channel
   blocks: each element's arithmetic does not depend on the split;
-* a convolution's GEMM, once it reaches ``SPLIT_MACS`` whatever its
-  kernel and stride, is cut into ``GEMM_PARTS`` output-channel parts
-  inside a forward's lanes however many there are.  For a stride-1
-  kernel larger than 1x1 a lane takes a part and works through every
-  band: it stages the band into its own buffer and runs its channels'
-  GEMM, offset sums and copy-out; on the strided path the lanes gather
-  each band's columns by input channels, then multiply by output
-  channels.  The cut depends on the shape alone, never on the lane count,
-  because it is not byte-neutral in general: with OpenBLAS's SkylakeX
-  kernels a GEMM cut by rows gave other float64 bytes where its width is
-  not a multiple of 8, and small pieces take other kernels altogether.
-  The reference presets' outputs (float32 and float64 at 1x3x256x512,
-  float32 at 1x3x1024x2048) match the uncut GEMMs byte for byte.  An
-  uncut GEMM is one part on the calling thread, product buffer and all.
+* a convolution's GEMM, once the convolution reaches ``SPLIT_MACS``
+  whatever its kernel and stride, is cut into ``GEMM_PARTS`` parts inside
+  a forward's lanes however many there are.  A 1x1 stride-1 GEMM, and
+  each band's GEMM on the strided path, are cut into column parts at
+  multiples of ``GEMM_COLUMN_TILE`` (``_cols``), and stay whole where
+  there are fewer tiles than parts: a lane multiplies the whole weight
+  matrix by its own columns, so it packs only those, where an
+  output-channel part packs every column.  The strided path gathers each
+  band's columns by input channels first.  A stride-1 kernel larger than
+  1x1 is cut into output-channel parts: a lane takes a part and works
+  through every band, staging the band into its own buffer and running
+  its channels' GEMM, offset sums and copy-out.  The cut depends on the
+  shape alone, never on the lane count, because it is not byte-neutral
+  in general: with OpenBLAS's SkylakeX kernels a GEMM cut by rows gave
+  other float64 bytes where its width is not a multiple of 8, columns cut
+  off the 16-column tile gave other bytes, and small pieces take other
+  kernels altogether.  The reference presets' outputs (float32 and
+  float64 at 1x3x256x512, float32 at 1x3x1024x2048) match the uncut GEMMs
+  byte for byte.  An uncut GEMM is one part on the calling thread,
+  product buffer and all.
 
 So a forward that opens lanes gives the bytes of one at one BLAS thread,
 whatever the lane count; one that opens none rounds as BLAS does at its
@@ -135,8 +148,10 @@ class ChecksumMismatch(ValueError):
 # ---------------------------------------------------------------------------
 # convolution
 
-# Byte budget for the temporary of one band of output rows: the shift-GEMM
-# product, or the strided path's im2col columns or staged input rows.
+# Byte budget that sets the rows of a conv band: the shift-GEMM product over
+# the band and its halo, or the strided path's im2col columns or staged
+# input rows (``stride`` per output row), whichever is larger.  The staging
+# of the shift path, and the accumulator, come on top (module docstring).
 BAND_BYTES = 16 * 2**20
 
 # Inside a forward's lanes, work below these sizes runs on the calling
@@ -148,6 +163,12 @@ SPLIT_BYTES = 4 * 2**20
 # Parts of split work (see ``_split``), whatever the lane count; also the
 # most lanes a forward opens.
 GEMM_PARTS = 2
+
+# A GEMM cut by columns (``_cols``) is cut at multiples of this many
+# columns: OpenBLAS's SkylakeX sgemm and dgemm kernels unroll the
+# contiguous axis of a numpy product by 16, so every output element keeps
+# the micro-kernel tile it has in the uncut GEMM.
+GEMM_COLUMN_TILE = 16
 
 # The forward's lanes, set by ``_open_lanes``: a pool for every lane but the
 # calling thread, and the lane count; 0 outside a forward.
@@ -362,6 +383,26 @@ def _conv_shift_gemm(x: np.ndarray, w: np.ndarray, pad: int, y: np.ndarray, part
     return y
 
 
+def _cols(total: int, parts: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` ranges cutting ``total`` GEMM columns into ``parts``
+    near-equal pieces at multiples of ``GEMM_COLUMN_TILE``, the last piece
+    taking the remainder; one uncut range when there are fewer whole tiles
+    than parts."""
+    tiles = total // GEMM_COLUMN_TILE
+    if tiles < parts:
+        return [(0, total)]
+    cuts = [GEMM_COLUMN_TILE * lo for lo, _ in _spans(tiles, parts)] + [total]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _gemm(wm: np.ndarray, cols: np.ndarray, out: np.ndarray, parts: int, lanes: int) -> None:
+    """``out = wm @ cols``, its columns cut into ``parts`` (``_cols``) dealt
+    to ``lanes`` lanes: each lane reads the whole weight matrix and packs
+    only its own columns."""
+    cuts = _cols(cols.shape[-1], parts)
+    _deal([functools.partial(np.matmul, wm, cols[..., p0:p1], out=out[..., p0:p1]) for p0, p1 in cuts], lanes)
+
+
 def _gather(x, xb, buf, r0, rows, wo, k, stride, pad) -> np.ndarray:
     """The columns of output rows ``r0:r0 + rows`` for the input channels
     that ``x``, ``xb`` and ``buf`` hold: the band's rows staged into ``xb``,
@@ -402,11 +443,9 @@ def conv2d_fwd(
         return _conv_shift_gemm(x, w, pad, y, parts, lanes)
     wm = w.reshape(cout, -1)
     yf = y.reshape(n, cout, ho * wo)
-    groups = _spans(cout, parts)
     if kh == 1 and stride == 1 and not pad:
-        # one GEMM over the whole map, cut into output-channel parts when large
-        xf = x.reshape(n, cin, ho * wo)
-        _deal([functools.partial(np.matmul, wm[c0:c1], xf, out=yf[:, c0:c1]) for c0, c1 in groups], lanes)
+        # one GEMM over the whole map, cut into column parts when large
+        _gemm(wm, x.reshape(n, cin, ho * wo), yf, parts, lanes)
         return y
     ins = _spans(cin, parts)
     # per output row, the columns or (for a 1x1 conv) the staged input rows
@@ -418,11 +457,10 @@ def conv2d_fwd(
         rows = min(step, ho - r0)
         band, out = (r0, rows, wo, kh, stride, pad), yf[:, :, r0 * wo : (r0 + rows) * wo]
         # each band's columns are gathered by input channels, then
-        # multiplied by output channels, both across the lanes
+        # multiplied by column parts, both across the lanes
         gather = [functools.partial(_gather, x[:, c0:c1], xb[:, c0:c1], buf[:, kk * c0 : kk * c1], *band) for c0, c1 in ins]
         _deal(gather, lanes)
-        cols = buf[:, :, : rows * wo]
-        _deal([functools.partial(np.matmul, wm[c0:c1], cols, out=out[:, c0:c1]) for c0, c1 in groups], lanes)
+        _gemm(wm, buf[:, :, : rows * wo], out, parts, lanes)
     return y
 
 

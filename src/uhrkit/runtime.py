@@ -121,18 +121,31 @@ def _fnv1a64(name: str) -> int:
     return h
 
 
+# Box-Muller pairs per chunk in ``_normals``: the chunk's temporaries stay
+# cache-sized, where whole-count ones were ten full-size arrays.
+_NORMAL_CHUNK = 2**15
+
+
 def _normals(seed: int, name: str, count: int) -> np.ndarray:
-    """Standard normals from counter-mode uniforms via Box-Muller."""
+    """Standard normals from counter-mode uniforms via Box-Muller: with
+    ``pairs = ceil(count / 2)``, pair ``i`` takes its radius from counter
+    ``i + 1`` and its angle from counter ``pairs + i + 1``, and gives value
+    ``i`` (the cosine) and value ``pairs + i`` (the sine).  Computed by
+    chunks of ``_NORMAL_CHUNK`` pairs, each value as a whole-count pass
+    would compute it."""
     base = _U64((seed ^ _fnv1a64(name)) & 0xFFFFFFFFFFFFFFFF)
     pairs = (count + 1) // 2
-    with np.errstate(over="ignore"):
-        ctr = base + _U64(_GOLDEN) * np.arange(1, 2 * pairs + 1, dtype=np.uint64)
-    z = _mix64(ctr)
-    u = ((z >> _U64(11)).astype(np.float64) + 1.0) * 2.0**-53  # (0, 1]
-    u1, u2 = u[:pairs], u[pairs:]
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
+    halves = np.array([[1], [pairs + 1]], dtype=np.uint64)  # first counters of radius and angle
+    out = np.empty(2 * pairs)
+    for a in range(0, pairs, _NORMAL_CHUNK):
+        b = min(pairs, a + _NORMAL_CHUNK)
+        with np.errstate(over="ignore"):
+            ctr = base + _U64(_GOLDEN) * (halves + np.arange(a, b, dtype=np.uint64))
+        u1, u2 = ((_mix64(ctr) >> _U64(11)).astype(np.float64) + 1.0) * 2.0**-53  # (0, 1]
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = 2.0 * np.pi * u2
+        np.multiply(r, np.cos(theta), out=out[a:b])
+        np.multiply(r, np.sin(theta), out=out[pairs + a : pairs + b])
     return out[:count]
 
 
@@ -531,11 +544,16 @@ class _Blas:
     """How this process sets BLAS threads: the limiter's ``name``
     (``threadpoolctl``, ``openblas`` or ``none``), a reader of the threads
     in use now (0 if unreadable), and ``limit(n)``, a context that holds
-    BLAS at ``n`` threads and restores the previous count on exit."""
+    BLAS at ``n`` threads and restores the previous count on exit.  Also
+    the build of the OpenBLAS in numpy's wheel, which forward bytes depend
+    on: its ``core`` (the kernels it picked for this CPU, such as
+    ``SkylakeX``) and its ``config`` string, both empty without one."""
 
     name: str
     threads: Callable[[], int]
     limit: Callable[[int], contextlib.AbstractContextManager]
+    core: str = ""
+    config: str = ""
 
     @contextlib.contextmanager
     def hold(self):
@@ -556,8 +574,17 @@ _HOLD = threading.RLock()  # taken by _Blas.hold, and by run_forward to decide i
 def _blas() -> _Blas:
     """The process's BLAS handle, built on first use: ``threadpoolctl`` when
     it imports, else the OpenBLAS bundled in numpy's wheel, set through
-    ctypes, else none.  Loading the library numpy already loaded by its
-    path hands back that same copy, so the count set is numpy's."""
+    ctypes, else none.  The bundled library's build is read through ctypes
+    whichever limiter sets the threads.  Loading the library numpy already
+    loaded by its path hands back that same copy, so the count set is
+    numpy's."""
+    lib, prefix = _bundled_openblas()
+    build = {}
+    for field, symbol in (("core", "corename"), ("config", "config")):
+        read = getattr(lib, f"{prefix}_get_{symbol}64_", None)
+        if read is not None:
+            read.argtypes, read.restype = [], ctypes.c_char_p
+            build[field] = read().decode()
     try:
         from threadpoolctl import threadpool_info, threadpool_limits
     except ImportError:
@@ -567,7 +594,20 @@ def _blas() -> _Blas:
             "threadpoolctl",
             lambda: max((m["num_threads"] for m in threadpool_info() if m["user_api"] == "blas"), default=0),
             lambda n: threadpool_limits(limits=n),
+            **build,
         )
+    get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+    put = getattr(lib, f"{prefix}_set_num_threads64_", None)
+    if get is not None and put is not None:
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return _Blas("openblas", get, functools.partial(_openblas_limit, get, put), **build)
+    return _Blas("none", lambda: 0, lambda n: contextlib.nullcontext(), **build)
+
+
+def _bundled_openblas() -> tuple[ctypes.CDLL | None, str]:
+    """The OpenBLAS bundled in numpy's wheel and its symbols' prefix, or
+    ``(None, "")``."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
         try:
@@ -577,13 +617,9 @@ def _blas() -> _Blas:
         # numpy >= 2 wheels ship scipy-openblas, older ones openblas, both
         # built with 64-bit integers (the 64_ suffix)
         for prefix in ("scipy_openblas", "openblas"):
-            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
-            put = getattr(lib, f"{prefix}_set_num_threads64_", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return _Blas("openblas", get, functools.partial(_openblas_limit, get, put))
-    return _Blas("none", lambda: 0, lambda n: contextlib.nullcontext())
+            if getattr(lib, f"{prefix}_get_num_threads64_", None) is not None:
+                return lib, prefix
+    return None, ""
 
 
 @contextlib.contextmanager

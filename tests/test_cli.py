@@ -272,7 +272,7 @@ def test_forward_json_reports_dtype_time_and_finiteness(tmp_path, capsys):
         assert isinstance(doc["elapsed_s"], float) and doc["elapsed_s"] >= 0
         assert ("warning:" in err) is not finite
         blas = runtime._blas()
-        assert (doc["blas_limiter"], doc["blas_threads"]) == (blas.name, blas.threads())
+        assert (doc["blas_limiter"], doc["blas_core"], doc["blas_threads"]) == (blas.name, blas.core, blas.threads())
         g = infer_shapes(presets.build("uhrnet-w18-small-va"), data.shape)
         assert doc["lanes"] == max(1, runtime._forward_lanes(runtime._conv_macs(g))[2]) == 1  # too small to open lanes
     limiter = blas.name

@@ -6,7 +6,9 @@ The goldens hold one SHA-256 per forward: micro and the paper's pair at
 ``verification_input(shape, 3)``, BLAS held at one thread and no lanes.
 ``init_weights`` makes every batchnorm the identity, whose shift is exactly
 0, so the second golden draws every batchnorm's gamma, beta, mean and var
-(``drawn_batchnorms``) over the same conv weights.
+(``drawn_batchnorms``) over the same conv weights.  The paper's pair must
+also give the first golden's bytes on two lanes, where every conv of
+``ops.SPLIT_MACS`` multiply-accumulates or more has its GEMMs cut.
 
 The bytes depend on the BLAS build, so each golden also holds the key it
 was recorded under: the numpy version and the config string and core name
@@ -19,7 +21,6 @@ A change that moves forward bytes on purpose re-records the goldens:
     PYTHONPATH=src python tests/test_forward_golden.py
 """
 
-import ctypes
 import hashlib
 import json
 import warnings
@@ -42,21 +43,10 @@ CASES = {
 
 def blas_key() -> dict[str, str]:
     """The numpy version and the build of the OpenBLAS bundled in numpy's
-    wheel, read through ctypes; the BLAS fields are empty without one."""
-    key = {"numpy": np.__version__, "blas_config": "", "blas_core": ""}
-    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            config = getattr(lib, f"{prefix}_get_config64_", None)
-            core = getattr(lib, f"{prefix}_get_corename64_", None)
-            if config is not None and core is not None:
-                config.argtypes, core.argtypes = [], []
-                config.restype = core.restype = ctypes.c_char_p
-                return key | {"blas_config": config().decode(), "blas_core": core().decode()}
-    return key
+    wheel, as the BLAS handle reads it; the BLAS fields are empty without
+    one."""
+    blas = runtime._blas()
+    return {"numpy": np.__version__, "blas_config": blas.config, "blas_core": blas.core}
 
 
 def drawn_batchnorms(g, store: runtime.WeightStore) -> runtime.WeightStore:
@@ -70,9 +60,11 @@ def drawn_batchnorms(g, store: runtime.WeightStore) -> runtime.WeightStore:
     return runtime.WeightStore(store.seed, arrays)
 
 
-def forwards(case: str, drawn: bool = False) -> dict[str, np.ndarray]:
+def forwards(case: str, drawn: bool = False, lanes: int = 0) -> dict[str, np.ndarray]:
     """The case's outputs by dtype name, BLAS held at one thread; with
-    ``drawn``, over drawn batchnorms."""
+    ``drawn``, over drawn batchnorms.  With ``lanes``, BLAS runs at that
+    many threads and the forward opens as many lanes, so the caller must
+    have lowered ``runtime.LANE_MACS`` to the graph's MACs."""
     preset, shape = CASES[case]
     g = infer_shapes(presets.build_micro() if preset is None else presets.build(preset), shape)
     store = runtime.init_weights(g, 1)
@@ -80,8 +72,9 @@ def forwards(case: str, drawn: bool = False) -> dict[str, np.ndarray]:
         store = drawn_batchnorms(g, store)
     x = runtime.verification_input(shape, 3).data
     outs = {}
-    with runtime._blas().hold():
-        assert runtime._forward_lanes(runtime._conv_macs(g))[2] == 0  # no lanes
+    blas = runtime._blas()
+    with blas.limit(lanes) if lanes else blas.hold():
+        assert runtime._forward_lanes(runtime._conv_macs(g))[2] == lanes
         for dtype in (np.float32, np.float64):
             outs[np.dtype(dtype).name], _ = runtime.run_forward(g, store.astype(dtype), x.astype(dtype))
     return outs
@@ -114,6 +107,14 @@ def test_forward_bytes_match_the_golden(case):
 @pytest.mark.parametrize("case", CASES)
 def test_forward_bytes_over_drawn_batchnorms_match_the_golden(case):
     compare(GOLDEN_BN, case, forwards(case, drawn=True))
+
+
+@pytest.mark.skipif(runtime._blas().name == "none", reason="no way to set BLAS threads, so no lanes")
+@pytest.mark.parametrize("case", ["uhrnet-w18-small", "hrnetv2-w18-small-v2"])
+def test_two_lane_forward_bytes_match_the_no_lane_golden(monkeypatch, case):
+    # every conv of SPLIT_MACS or more has its GEMMs cut, as at the cost input
+    monkeypatch.setattr(runtime, "LANE_MACS", 0)
+    compare(GOLDEN, case, forwards(case, lanes=2))
 
 
 if __name__ == "__main__":

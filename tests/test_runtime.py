@@ -85,6 +85,30 @@ def test_init_bn_identity():
     assert (store.arrays["stem.conv1.bn.var"] == 1).all()
 
 
+def whole_count_normals(seed, name, count):
+    """``_normals`` as one pass over every counter at once."""
+    base = np.uint64((seed ^ runtime._fnv1a64(name)) & 0xFFFFFFFFFFFFFFFF)
+    pairs = (count + 1) // 2
+    with np.errstate(over="ignore"):
+        ctr = base + np.uint64(runtime._GOLDEN) * np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+    u = ((runtime._mix64(ctr) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u[:pairs]))
+    theta = 2.0 * np.pi * u[pairs:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
+
+
+def test_normals_by_chunks_are_the_whole_count_values():
+    chunk = runtime._NORMAL_CHUNK  # in pairs, two values each
+    counts = {1, 2, 9, 1001}
+    for k in (1, 2):
+        for pairs in (chunk * k - 1, chunk * k, chunk * k + 1):
+            counts |= {2 * pairs - 1, 2 * pairs}
+    for count in sorted(counts):
+        got = runtime._normals(7, "w", count)
+        assert got.shape == (count,)
+        assert got.tobytes() == whole_count_normals(7, "w", count).tobytes()
+
+
 def test_param_entries_follow_graph_order():
     g = presets.build_micro()
     entries = [name for name, _, _, _ in param_entries(g)]
@@ -867,6 +891,55 @@ def test_a_1x1_conv_of_split_macs_is_cut_like_every_other_kernel(monkeypatch):
         cut = ops.conv2d_fwd(x, w)
     assert dealt[0] == (ops.GEMM_PARTS, 2)
     assert cut.tobytes() == whole.tobytes()
+
+
+@needs_limiter
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, stride, cin", [(1, 1, 24), (1, 2, 24), (3, 2, 24), (3, 2, 3)])  # the last like the stem
+@pytest.mark.parametrize("band_rows", [None, 2])  # one band per conv, or many
+def test_column_cut_gemms_keep_the_uncut_bytes(monkeypatch, dtype, k, stride, cin, band_rows):
+    # every GEMM of a 1x1 stride-1 conv or of a strided conv's bands is cut
+    # into column parts at multiples of GEMM_COLUMN_TILE; every lane reads
+    # the whole weight matrix and only its own columns
+    monkeypatch.setattr(ops, "SPLIT_MACS", 0)
+    rng = np.random.default_rng(9)
+    w = rng.standard_normal((20, cin, k, k)).astype(dtype)
+    dealt = []  # per GEMM deal, each job's (first column, columns)
+    deal = ops._deal
+
+    def recorded(jobs, lanes):
+        gemms = [job for job in jobs if job.func is np.matmul]
+        if gemms and lanes > 1:  # not a lane's own share
+            base = gemms[0].args[1].ctypes.data
+            for job in gemms:
+                cols, out = job.args[1], job.keywords["out"]
+                assert job.args[0].shape == w.reshape(w.shape[0], -1).shape
+                assert out.ctypes.data - gemms[0].keywords["out"].ctypes.data == cols.ctypes.data - base
+            dealt.append([((job.args[1].ctypes.data - base) // w.itemsize, job.args[1].shape[-1]) for job in gemms])
+        deal(jobs, lanes)
+
+    # column counts that are not multiples of 16, below 32, and bands of
+    # 2 * 17 = 34 columns with a last band of 17
+    for h, wd in [(5, 7), (3, 9), (6, 16)] if stride == 1 else [(10, 34), (6, 14)]:
+        x = rng.standard_normal((1, cin, h, wd)).astype(dtype)
+        wo = (wd + 2 * (k // 2) - k) // stride + 1
+        row_bytes = cin * max(k * k * wo, stride * (wd + 2 * (k // 2))) * x.itemsize
+        monkeypatch.setattr(ops, "BAND_BYTES", band_rows * row_bytes if band_rows else 2**62)
+        with runtime._blas().hold():
+            whole = ops.conv2d_fwd(x, w, stride)
+            dealt.clear()
+            monkeypatch.setattr(ops, "_deal", recorded)
+            with ops._open_lanes(2):
+                cut = ops.conv2d_fwd(x, w, stride)
+            monkeypatch.setattr(ops, "_deal", deal)
+        assert cut.tobytes() == whole.tobytes()
+        assert dealt
+        for parts in dealt:
+            starts, widths = zip(*parts)
+            assert starts == tuple(np.cumsum((0,) + widths[:-1]))
+            assert all(s % ops.GEMM_COLUMN_TILE == 0 for s in starts)
+            # fewer than a tile per part: the GEMM stays whole
+            assert len(parts) == (1 if sum(widths) < ops.GEMM_PARTS * ops.GEMM_COLUMN_TILE else ops.GEMM_PARTS)
 
 
 @needs_limiter

@@ -8,11 +8,11 @@ files store each parameter with the tensor entry codec of :mod:`uhrkit.ops`.
 One executor, :meth:`_Exec.walk`, runs both the forward pass and the
 gradient checker's replay: it walks a shaped
 :class:`~uhrkit.graph.LayerGraph` in topological order over plain numpy
-arrays.  Each node's arithmetic is one call of a :mod:`uhrkit.ops`
-primitive; the walk only picks the buffer each result goes into, by
+arrays.  One table, ``_RULES``, gives each node kind its parameters and
+its forward and VJP, each a call of :mod:`uhrkit.ops` primitives; the walk
+runs the forwards and only picks the buffer each result goes into, by
 tables built once per graph (:class:`_Exec`).  The reverse sweep,
-:func:`run_backward`, is the only reverse-mode engine and mirrors the
-walk with the matching VJPs, over the executor's parameters.
+:func:`run_backward`, the only reverse-mode engine, runs the same VJPs.
 
 Gradient verification compares the reverse-mode gradients against central
 differences ``(f(t+eps) - f(t-eps)) / (2 eps)`` of the scalar verification
@@ -175,17 +175,48 @@ class WeightStore:
         )
 
 
+@dataclass(frozen=True)
+class _Rule:
+    """How the executor runs one node kind.  ``params`` are its parameters'
+    suffixes, in the order its primitives take them; ``fwd(ins, params,
+    attrs, out)`` returns the output, written into ``out`` when given;
+    ``vjp(ins, params, attrs, dy)`` returns one gradient per input, then one
+    per parameter; ``in_place`` says it may overwrite its first input."""
+
+    params: tuple[str, ...]
+    fwd: Callable
+    vjp: Callable
+    in_place: bool = False
+
+
+# One rule per executable node kind (every kind of ``graph.NODE_ATTRS`` but
+# the input).  Each names its primitives as ``ops.<name>``, looked up at call
+# time, so a primitive patched into ``ops`` is the one that runs.
+_RULES = {
+    "conv": _Rule(("w",), lambda ins, p, a, out: ops.conv2d_fwd(ins[0], *p, a["stride"], a["pad"], out=out),
+                  lambda ins, p, a, dy: ops.conv2d_vjp(ins[0], *p, a["stride"], a["pad"], dy)),
+    "bn": _Rule(("gamma", "beta", "mean", "var"), lambda ins, p, a, out: ops.batchnorm_fwd(ins[0], *p, out=out),
+                lambda ins, p, a, dy: ops.batchnorm_vjp(ins[0], *p, dy), in_place=True),
+    "relu": _Rule((), lambda ins, p, a, out: ops.relu_fwd(ins[0], out=out),
+                  lambda ins, p, a, dy: (ops.relu_vjp(ins[0], dy),), in_place=True),
+    "upsample": _Rule((), lambda ins, p, a, out: ops.bilinear_up2_fwd(ins[0], out=out),
+                      lambda ins, p, a, dy: (ops.bilinear_up2_vjp(ins[0], dy),)),
+    "chpool": _Rule((), lambda ins, p, a, out: ops.channel_pool2_fwd(ins[0], out=out),
+                    lambda ins, p, a, dy: (ops.channel_pool2_vjp(ins[0], dy),)),
+    "concat": _Rule((), lambda ins, p, a, out: ops.concat_fwd(ins, out=out), lambda ins, p, a, dy: ops.concat_vjp(ins, dy)),
+    "add": _Rule((), lambda ins, p, a, out: ops.add_fwd(*ins, out=out), lambda ins, p, a, dy: (dy, dy), in_place=True),
+}  # fmt: skip
+
+
 def param_entries(graph: LayerGraph) -> list[tuple[str, str, str, tuple[int, ...]]]:
-    """(name, node_id, kind, shape) for every parameter, in graph order."""
+    """(name, node_id, kind, shape) for every parameter, in graph order: a
+    node's parameters are ``<node id>.<suffix>`` for its kind's suffixes."""
     out = []
-    for node in graph.nodes:
-        if node.kind == "conv":
-            a = node.attrs
-            out.append((f"{node.id}.w", node.id, "conv.w", (a["out_ch"], a["in_ch"], a["k"], a["k"])))
-        elif node.kind == "bn":
-            c = node.attrs["ch"]
-            for p in ("gamma", "beta", "mean", "var"):
-                out.append((f"{node.id}.{p}", node.id, f"bn.{p}", (c,)))
+    for node in graph.nodes[1:]:  # the first node is the input
+        a = node.attrs
+        for p in _RULES[node.kind].params:
+            shape = (a["out_ch"], a["in_ch"], a["k"], a["k"]) if node.kind == "conv" else (a["ch"],)
+            out.append((f"{node.id}.{p}", node.id, f"{node.kind}.{p}", shape))
     return out
 
 
@@ -287,8 +318,8 @@ class _Exec:
         # elementwise nodes that overwrite their first input: its last reader,
         # reading it once
         self.takes_over = {
-            n.id for n in graph.nodes
-            if n.kind in ("bn", "relu", "add") and self.last.get(n.inputs[0]) == n.id and n.inputs.count(n.inputs[0]) == 1
+            n.id for n in graph.nodes[1:]
+            if _RULES[n.kind].in_place and self.last.get(n.inputs[0]) == n.id and n.inputs.count(n.inputs[0]) == 1
         }  # fmt: skip
         # The arena plan, in elements per sample: ``slots`` maps a node to the
         # (offset, size) of its output, where a node that takes over its
@@ -337,10 +368,9 @@ class _Exec:
                 top = max(top, hi)
             self.gaps[node.id] = gap
 
-    def bn_params(self, nid: str) -> list[np.ndarray]:
-        """Batchnorm ``nid``'s gamma, beta, mean and var, in the order
-        :func:`~uhrkit.ops.batchnorm_fwd` takes them."""
-        return [self.params[f"{nid}.{p}"] for p in ("gamma", "beta", "mean", "var")]
+    def node_params(self, node: Node) -> list[np.ndarray]:
+        """``node``'s parameters, in the order its kind's primitives take them."""
+        return [self.params[f"{node.id}.{p}"] for p in _RULES[node.kind].params]
 
     def walk(
         self,
@@ -351,8 +381,9 @@ class _Exec:
         kink_ctx: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
         arena: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Execute ``nodes`` in order: the one executor behind both the
-        forward pass and the gradient checker's replay.
+        """Execute ``nodes`` in order, each by its kind's forward rule: the
+        one executor behind both the forward pass and the gradient checker's
+        replay.
 
         ``acts`` starts with the walk's own buffer (the graph input, or the
         perturbed owner lanes) and collects node outputs.  An input missing
@@ -400,31 +431,14 @@ class _Exec:
                 lend = ops._lend(work[scale * off : scale * (off + size)])
             if not keep and node.id in self.takes_over and node.inputs[0] in acts:
                 out = ins[0]
-            kind = node.kind
+            ctx = kink_ctx.get(node.id) if kink_ctx else None  # it keys ReLUs only
+            if ctx is not None:
+                base_mask, sens = ctx
+                flipped = (ins[0] > 0) != base_mask
+                if flipped.any():
+                    kink_err += np.abs(ins[0] * sens * flipped).sum(axis=(1, 2, 3))
             with lend:
-                if kind == "conv":
-                    a = node.attrs
-                    y = ops.conv2d_fwd(ins[0], self.params[f"{node.id}.w"], a["stride"], a["pad"], out=out)
-                elif kind == "bn":
-                    y = ops.batchnorm_fwd(ins[0], *self.bn_params(node.id), out=out)
-                elif kind == "relu":
-                    ctx = kink_ctx.get(node.id) if kink_ctx else None
-                    if ctx is not None:
-                        base_mask, sens = ctx
-                        flipped = (ins[0] > 0) != base_mask
-                        if flipped.any():
-                            kink_err += np.abs(ins[0] * sens * flipped).sum(axis=(1, 2, 3))
-                    y = ops.relu_fwd(ins[0], out=out)
-                elif kind == "upsample":
-                    y = ops.bilinear_up2_fwd(ins[0], out=out)
-                elif kind == "chpool":
-                    y = ops.channel_pool2_fwd(ins[0], out=out)
-                elif kind == "concat":
-                    y = ops.concat_fwd(ins, out=out)
-                elif kind == "add":
-                    y = ops.add_fwd(ins[0], ins[1], out=out)
-                else:
-                    raise ValueError(f"cannot execute node kind {kind!r}")
+                y = _RULES[node.kind].fwd(ins, self.node_params(node), node.attrs, out)
             if node.out_shape is not None and y.shape != (b, *node.out_shape[1:]):
                 raise ShapeMismatch(f"node {node.id!r} produced {y.shape}, expected {node.out_shape}")
             if not keep:
@@ -639,7 +653,9 @@ def run_backward(
     out_grad: np.ndarray,
     collect: set[str] | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray]]:
-    """Reverse sweep over the whole graph.
+    """Reverse sweep over the whole graph: each node's VJP rule, from the
+    table the walk reads, sends one gradient to each input and gives one
+    per parameter; gradients sent to one buffer add up.
 
     Returns per-parameter gradients (keyed like the weight store), the
     gradient w.r.t. the graph input, and the output gradients of the nodes
@@ -662,31 +678,14 @@ def run_backward(
             continue
         if collect and node.id in collect:
             collected[node.id] = g
-        ins = [acts[i] for i in node.inputs]
+        rule = _RULES[node.kind]
+        ds = rule.vjp([acts[i] for i in node.inputs], ex.node_params(node), node.attrs, g)
+        for src, d in zip(node.inputs, ds):
+            send(src, d)
         # each parameter gradient is stored as a sum from zero, which turns
         # a -0.0 into +0.0
-        if node.kind == "conv":
-            a = node.attrs
-            dx, dw = ops.conv2d_vjp(ins[0], ex.params[f"{node.id}.w"], a["stride"], a["pad"], g)
-            send(node.inputs[0], dx)
-            pgrads[f"{node.id}.w"] = 0 + dw
-        elif node.kind == "bn":
-            dx, *dps = ops.batchnorm_vjp(ins[0], *ex.bn_params(node.id), g)
-            send(node.inputs[0], dx)
-            for suffix, d in zip(("gamma", "beta", "mean", "var"), dps):
-                pgrads[f"{node.id}.{suffix}"] = 0 + d
-        elif node.kind == "relu":
-            send(node.inputs[0], ops.relu_vjp(ins[0], g))
-        elif node.kind == "upsample":
-            send(node.inputs[0], ops.bilinear_up2_vjp(ins[0], g))
-        elif node.kind == "chpool":
-            send(node.inputs[0], ops.channel_pool2_vjp(ins[0], g))
-        elif node.kind == "concat":
-            for src, dg_ in zip(node.inputs, ops.concat_vjp(ins, g)):
-                send(src, dg_)
-        elif node.kind == "add":
-            send(node.inputs[0], g)
-            send(node.inputs[1], g)
+        for p, d in zip(rule.params, ds[len(node.inputs) :]):
+            pgrads[f"{node.id}.{p}"] = 0 + d
     return pgrads, grads[graph.input_id], collected
 
 
@@ -863,17 +862,17 @@ def _stacked_patch(
     nudge = np.repeat([eps, -eps], k)
     at = np.concatenate([coords, coords])  # the coordinate each lane nudges
     lanes = np.repeat(base_out, 2 * k, axis=0)
+    rule, params = _RULES[node.kind], ex.node_params(node)
     if kind == "conv.w":
-        w = ex.params[f"{node.id}.w"]
+        (w,) = params
         out_ch, tap = np.divmod(at, w[0].size)
         kernels = np.zeros((2 * k, w[0].size), w.dtype)
         kernels[lane, tap] = nudge
-        a = node.attrs
-        lanes[lane, out_ch] += ops.conv2d_fwd(x_in, kernels.reshape(2 * k, *w.shape[1:]), a["stride"], a["pad"])[0]
+        lanes[lane, out_ch] += rule.fwd([x_in], [kernels.reshape(2 * k, *w.shape[1:])], node.attrs, None)[0]
         return lanes
-    bn = [p[at] for p in ex.bn_params(node.id)]  # a coordinate is a channel
-    bn[("bn.gamma", "bn.beta", "bn.mean", "bn.var").index(kind)] += nudge
-    lanes[lane, at] = ops.batchnorm_fwd(x_in[:, at], *bn)[0]
+    bn = [p[at] for p in params]  # a coordinate is a channel
+    bn[rule.params.index(kind.partition(".")[2])] += nudge
+    lanes[lane, at] = rule.fwd([x_in[:, at]], bn, node.attrs, None)[0]
     return lanes
 
 

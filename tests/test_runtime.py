@@ -17,6 +17,7 @@ import pytest
 from uhrkit import analysis, ops, presets, runtime
 from uhrkit.dsl import parse_structure
 from uhrkit.graph import (
+    NODE_ATTRS,
     IndivisibleInput,
     LayerGraph,
     NetworkConfig,
@@ -296,6 +297,27 @@ def test_walk_runs_the_ops_primitives(dtype):
     assert all(seen.values()), seen
 
 
+def test_a_forward_runs_the_primitive_its_kind_names_once_per_node(monkeypatch):
+    # the executor has a rule for exactly the graph's kinds but the input,
+    # and a forward makes one ops forward call per node, in graph order, the
+    # one the node's kind names.  The calls are recorded through ops, so a
+    # rule that bound its primitive at import would record nothing
+    assert set(runtime._RULES) == set(NODE_ATTRS) - {"input"}
+    names = {
+        "conv": "conv2d_fwd", "bn": "batchnorm_fwd", "relu": "relu_fwd", "upsample": "bilinear_up2_fwd",
+        "chpool": "channel_pool2_fwd", "concat": "concat_fwd", "add": "add_fwd",
+    }  # fmt: skip
+    calls = []
+    for name in [n for n in dir(ops) if n.endswith("_fwd")]:
+        fwd = getattr(ops, name)
+        monkeypatch.setattr(ops, name, lambda *a, _f=fwd, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    g = infer_shapes(presets.build_micro(), presets.MICRO_INPUT_SHAPE)
+    run_forward(g, init_weights(g, 1), verification_input(presets.MICRO_INPUT_SHAPE, 3).data)
+    assert {n.kind for n in g.nodes[1:]} == set(names)
+    assert calls == [names[n.kind] for n in g.nodes[1:]]
+    assert len(calls) == 467
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kind", ["bn", "relu", "add"])
 def test_an_elementwise_node_overwrites_the_input_it_reads_last(monkeypatch, kind, dtype):
@@ -485,6 +507,32 @@ def test_input_gradient_matches_central_differences():
         minus[idx] -= eps
         fd = (run_forward(g, store, plus)[0] - run_forward(g, store, minus)[0]).mean() / (2 * eps)
         assert abs(input_grad[idx] - fd) < 1e-5 * max(abs(fd), 1e-8), (idx, input_grad[idx], fd)
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [("micro", presets.MICRO_INPUT_SHAPE), ("uhrnet-w18-small", (1, 3, 256, 512)), ("hrnetv2-w18-small-v2", (1, 3, 256, 512))],
+)
+def test_float32_backward_agrees_with_float64(name, shape):
+    # the float32 reverse sweep runs on float64's kept activations cast to
+    # float32, so both share every ReLU mask: with float32's own forward two
+    # units of uhrnet-w18-small flip sign at this size, and the comparison
+    # would measure that kink, not the VJPs.  Max-norm relative error per
+    # tensor with a nonzero gradient and of the input gradient; the worst
+    # seen is 3.0e-6 (a micro parameter)
+    g = infer_shapes(presets.build_micro() if name == "micro" else presets.build(name), shape)
+    store = init_weights(g, 1)
+    x = verification_input(shape, 3).data.astype(np.float64)
+    out, acts = run_forward(g, store.astype(np.float64), x, keep_activations=True)
+    dy = np.full(out.shape, 1.0 / out.size)
+    p64, x64, _ = run_backward(g, store.astype(np.float64), acts, dy)
+    acts = {nid: a.astype(np.float32) for nid, a in acts.items()}
+    p32, x32, _ = run_backward(g, store.astype(np.float32), acts, dy.astype(np.float32))
+    assert p32.keys() == p64.keys() and x32.dtype == np.float32
+    tensors = {k: (p32[k], g64) for k, g64 in p64.items() if g64.any()} | {"input": (x32, x64)}
+    assert len(tensors) > len(p64) // 2
+    err = {k: float(np.abs(a - b).max() / np.abs(b).max()) for k, (a, b) in tensors.items()}
+    assert max(err.values()) < 1e-5, max(err.items(), key=lambda kv: kv[1])
 
 
 # ---------------------------------------------------------------------------
